@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <utility>
 
 #include "common/error.h"
 #include "common/simd/kernels.h"
@@ -21,17 +22,17 @@ IncrementalEvaluator::IncrementalEvaluator(const Problem& problem,
                                            const Assignment& initial,
                                            AllowPartial)
     : problem_(problem), assignment_(initial) {
-  distances_.resize(static_cast<std::size_t>(problem.num_servers()));
+  clients_.resize(static_cast<std::size_t>(problem.num_servers()));
   problem.client_block().ForEachTile([&](const ClientTile& tile) {
     for (ClientIndex c = tile.begin; c < tile.end; ++c) {
       const ServerIndex s = assignment_[c];
       if (s == kUnassigned) continue;  // inactive until AddClient
-      distances_[static_cast<std::size_t>(s)].insert(tile.row(c)[s]);
+      clients_[static_cast<std::size_t>(s)].insert(Entry{tile.row(c)[s], c});
       ++active_;
     }
   });
   // Initial scan with a no-op "move" (from == to short-circuits
-  // EffectiveFar to the plain multiset eccentricities).
+  // EffectiveFar to the plain set eccentricities).
   max_pair_ = ScanAllPairs(/*c=*/0, kUnassigned, kUnassigned);
 }
 
@@ -40,15 +41,12 @@ double IncrementalEvaluator::EffectiveFar(ServerIndex s, ClientIndex c,
                                           ServerIndex to) const {
   if (from == to) return Far(s);  // no-op move
   if (s == from) {
-    const auto& set = distances_[static_cast<std::size_t>(from)];
-    const double d = problem_.client_block().cs(c, from);
-    // c leaves: if it holds the maximum, the survivor max is next.
-    if (d >= *set.rbegin()) {
-      auto it = set.rbegin();
-      ++it;
-      return it == set.rend() ? -1.0 : *it;
-    }
-    return *set.rbegin();
+    // c leaves: if it is the witness, the survivor max is next.
+    const auto& set = clients_[static_cast<std::size_t>(from)];
+    auto it = set.rbegin();
+    if (it->client != c) return it->distance;
+    ++it;
+    return it == set.rend() ? -1.0 : it->distance;
   }
   if (s == to) return std::max(Far(to), problem_.client_block().cs(c, to));
   return Far(s);
@@ -76,8 +74,8 @@ IncrementalEvaluator::PairMax IncrementalEvaluator::ScanAllPairs(
   // lexicographically-first argmax pair exactly. Effective eccentricities
   // are materialized once, not looked up per pair.
   const std::span<const double> eff = MaterializeEffectiveFar(c, from, to);
-  std::vector<ServerIndex> best_s2(static_cast<std::size_t>(num_servers),
-                                   kUnassigned);
+  std::vector<ServerIndex>& best_s2 = best_s2_buf_;
+  best_s2.assign(static_cast<std::size_t>(num_servers), kUnassigned);
   const ThreadPool::Extremum row_best = GlobalPool().ParallelMaxReduce(
       0, num_servers, 8, [&](std::int64_t si) {
         const auto s1 = static_cast<ServerIndex>(si);
@@ -146,19 +144,47 @@ double IncrementalEvaluator::EvaluateMove(ClientIndex c, ServerIndex to) const {
   return Evaluate(c, to, nullptr).value;
 }
 
+void IncrementalEvaluator::Relocate(ClientIndex c, ServerIndex from,
+                                    ServerIndex to) {
+  auto& from_set = clients_[static_cast<std::size_t>(from)];
+  const auto it = from_set.find(Entry{problem_.client_block().cs(c, from), c});
+  DIACA_CHECK(it != from_set.end());
+  auto node = from_set.extract(it);
+  node.value().distance = problem_.client_block().cs(c, to);
+  clients_[static_cast<std::size_t>(to)].insert(std::move(node));
+}
+
 double IncrementalEvaluator::ApplyMove(ClientIndex c, ServerIndex to) {
   const ServerIndex from = assignment_[c];
   if (to == from) return max_pair_.value;
   const PairMax new_max = Evaluate(c, to, nullptr);
-  auto& from_set = distances_[static_cast<std::size_t>(from)];
-  const auto it = from_set.find(problem_.client_block().cs(c, from));
-  DIACA_CHECK(it != from_set.end());
-  from_set.erase(it);
-  distances_[static_cast<std::size_t>(to)].insert(
-      problem_.client_block().cs(c, to));
+  // Logged before anything changes; Rollback skips a record whose move
+  // never happened.
+  if (in_trial_) undo_.push_back(Undo{c, from, max_pair_});
+  Relocate(c, from, to);
   assignment_[c] = to;
   max_pair_ = new_max;
   return max_pair_.value;
+}
+
+IncrementalEvaluator::Trial::Trial(IncrementalEvaluator& eval) : eval_(eval) {
+  DIACA_CHECK_MSG(!eval_.in_trial_, "nested evaluator trial");
+  eval_.in_trial_ = true;
+}
+
+IncrementalEvaluator::Trial::~Trial() { eval_.Rollback(); }
+
+void IncrementalEvaluator::Rollback() {
+  for (auto it = undo_.rbegin(); it != undo_.rend(); ++it) {
+    const ServerIndex at = assignment_[it->client];
+    if (at != it->from) {
+      Relocate(it->client, at, it->from);
+      assignment_[it->client] = it->from;
+    }
+    max_pair_ = it->max_pair;
+  }
+  undo_.clear();
+  in_trial_ = false;
 }
 
 double IncrementalEvaluator::EvaluateAdd(ClientIndex c, ServerIndex to) const {
@@ -174,6 +200,7 @@ double IncrementalEvaluator::EvaluateAdd(ClientIndex c, ServerIndex to) const {
 }
 
 double IncrementalEvaluator::AddClient(ClientIndex c, ServerIndex to) {
+  DIACA_CHECK_MSG(!in_trial_, "AddClient inside an evaluator trial");
   DIACA_CHECK_MSG(assignment_[c] == kUnassigned,
                   "AddClient of active client " << c);
   DIACA_CHECK(to >= 0 && to < problem_.num_servers());
@@ -181,14 +208,15 @@ double IncrementalEvaluator::AddClient(ClientIndex c, ServerIndex to) {
   if (max_pair_.a == kUnassigned || touching.value > max_pair_.value) {
     max_pair_ = touching;
   }
-  distances_[static_cast<std::size_t>(to)].insert(
-      problem_.client_block().cs(c, to));
+  clients_[static_cast<std::size_t>(to)].insert(
+      Entry{problem_.client_block().cs(c, to), c});
   assignment_[c] = to;
   ++active_;
   return max_pair_.value;
 }
 
 double IncrementalEvaluator::RemoveClient(ClientIndex c) {
+  DIACA_CHECK_MSG(!in_trial_, "RemoveClient inside an evaluator trial");
   const ServerIndex from = assignment_[c];
   DIACA_CHECK_MSG(from != kUnassigned, "RemoveClient of inactive client " << c);
   if (max_pair_.a == from || max_pair_.b == from) {
@@ -201,8 +229,8 @@ double IncrementalEvaluator::RemoveClient(ClientIndex c) {
   }
   // Otherwise pairs avoiding `from` are untouched and pairs touching it
   // only fall, so the cached maximum stands exactly.
-  auto& from_set = distances_[static_cast<std::size_t>(from)];
-  const auto it = from_set.find(problem_.client_block().cs(c, from));
+  auto& from_set = clients_[static_cast<std::size_t>(from)];
+  const auto it = from_set.find(Entry{problem_.client_block().cs(c, from), c});
   DIACA_CHECK(it != from_set.end());
   from_set.erase(it);
   assignment_[c] = kUnassigned;

@@ -4,15 +4,27 @@
 // Local search methods (steepest descent, simulated annealing) evaluate
 // huge numbers of candidate moves; recomputing
 // D = max_{s1,s2} far(s1) + d(s1,s2) + far(s2) from scratch costs
-// O(|C| + |U|^2) each time. IncrementalEvaluator keeps a per-server
-// multiset of client distances plus the argmax server pair. A move changes
-// only far(from) and far(to), so:
+// O(|C| + |U|^2) each time. IncrementalEvaluator keeps, per server, the
+// set of its clients as (distance, client) entries ordered by distance and
+// then by descending client, plus the argmax server pair. The last entry
+// of a set is far(s) and its witness: the farthest client, lowest index
+// on ties (WitnessOf, O(1)). A move changes only far(from) and far(to),
+// so:
 //   * if the cached argmax pair avoids both changed servers, the new
 //     objective is max(old maximum, best pair touching a changed server)
 //     — O(|S|);
 //   * otherwise the old maximum may fall, and a full O(|U|^2) rescan runs.
 // Random/local moves rarely touch the argmax pair, so evaluation is O(|S|)
 // in the common case (measured in the evaluator microbenchmark).
+//
+// Trials: while an IncrementalEvaluator::Trial is open, every ApplyMove is
+// logged with the argmax pair it replaced, and closing the trial undoes
+// the moves newest-first, restoring the exact cached pair (no rescan), so
+// the evaluator ends bit-identical to where it started and every later
+// tie-break is unchanged. The guard closes on every exit path, a thrown
+// error included. AddClient, RemoveClient and a nested trial are rejected
+// while one is open. Evaluations made inside a trial count in
+// full_rescans() like any other.
 #pragma once
 
 #include <set>
@@ -48,7 +60,8 @@ class IncrementalEvaluator {
   double EvaluateMove(ClientIndex c, ServerIndex to) const;
 
   /// Apply the move for real and return the new objective. c must be
-  /// active.
+  /// active. Inside a Trial the move is logged and undone when the trial
+  /// closes.
   double ApplyMove(ClientIndex c, ServerIndex to);
 
   /// Objective if the inactive client c were attached to `to` (no state
@@ -57,11 +70,12 @@ class IncrementalEvaluator {
   double EvaluateAdd(ClientIndex c, ServerIndex to) const;
 
   /// Attach the inactive client c to `to` and return the new objective.
+  /// Rejected inside a Trial.
   double AddClient(ClientIndex c, ServerIndex to);
 
   /// Detach the active client c (its row becomes kUnassigned) and return
   /// the new objective. Full rescan only when c's server is an argmax
-  /// pair endpoint.
+  /// pair endpoint. Rejected inside a Trial.
   double RemoveClient(ClientIndex c);
 
   /// Whether client c currently participates in the objective.
@@ -79,10 +93,30 @@ class IncrementalEvaluator {
   ServerIndex MaxPairSecond() const { return max_pair_.b; }
   std::int32_t LoadOf(ServerIndex s) const {
     return static_cast<std::int32_t>(
-        distances_[static_cast<std::size_t>(s)].size());
+        clients_[static_cast<std::size_t>(s)].size());
+  }
+  /// The client whose distance is far(s): s's farthest active client,
+  /// lowest index on ties (-1 when s holds none). O(1).
+  ClientIndex WitnessOf(ServerIndex s) const {
+    const auto& set = clients_[static_cast<std::size_t>(s)];
+    return set.empty() ? ClientIndex{-1} : set.rbegin()->client;
   }
   /// Full O(|U|^2) rescans triggered so far (perf introspection).
   std::int64_t full_rescans() const { return full_rescans_; }
+
+  /// Scope guard for trial moves: ApplyMove calls made while it is alive
+  /// are undone newest-first when it is destroyed, restoring the exact
+  /// assignment, client sets and cached argmax pair. One at a time.
+  class Trial {
+   public:
+    explicit Trial(IncrementalEvaluator& eval);
+    ~Trial();
+    Trial(const Trial&) = delete;
+    Trial& operator=(const Trial&) = delete;
+
+   private:
+    IncrementalEvaluator& eval_;
+  };
 
  private:
   struct PairMax {
@@ -90,12 +124,38 @@ class IncrementalEvaluator {
     ServerIndex a = kUnassigned;
     ServerIndex b = kUnassigned;
   };
+  /// One client of a server's set.
+  struct Entry {
+    double distance;
+    ClientIndex client;
+  };
+  /// Ascending distance, then descending client: the last entry is the
+  /// farthest client with the lowest index on ties.
+  struct EntryOrder {
+    bool operator()(const Entry& x, const Entry& y) const {
+      return x.distance != y.distance ? x.distance < y.distance
+                                      : x.client > y.client;
+    }
+  };
+  /// A trial move: the client, the server it left and the argmax pair
+  /// cached before it.
+  struct Undo {
+    ClientIndex client;
+    ServerIndex from;
+    PairMax max_pair;
+  };
 
-  /// far(s) from the distance multiset (-1 when empty).
+  /// far(s) from the client set (-1 when empty).
   double Far(ServerIndex s) const {
-    const auto& set = distances_[static_cast<std::size_t>(s)];
-    return set.empty() ? -1.0 : *set.rbegin();
+    const auto& set = clients_[static_cast<std::size_t>(s)];
+    return set.empty() ? -1.0 : set.rbegin()->distance;
   }
+
+  /// Move c's entry from server `from`'s set to `to`'s, reusing the node.
+  void Relocate(ClientIndex c, ServerIndex from, ServerIndex to);
+
+  /// Undo the logged trial moves newest-first and close the trial.
+  void Rollback();
 
   /// Eccentricity with the move (c: from -> to) applied virtually.
   double EffectiveFar(ServerIndex s, ClientIndex c, ServerIndex from,
@@ -103,7 +163,7 @@ class IncrementalEvaluator {
 
   /// Fill eff_buf_ with EffectiveFar(s, ...) for every server and return
   /// it: the pair scans then fold contiguous doubles instead of paying a
-  /// multiset lookup per (s1, s2) pair.
+  /// set lookup per (s1, s2) pair.
   std::span<const double> MaterializeEffectiveFar(ClientIndex c,
                                                   ServerIndex from,
                                                   ServerIndex to) const;
@@ -120,13 +180,17 @@ class IncrementalEvaluator {
 
   const Problem& problem_;
   Assignment assignment_;
-  /// Per-server multiset of client distances (supports removing one
-  /// occurrence when a client leaves).
-  std::vector<std::multiset<double>> distances_;
-  /// Scratch for MaterializeEffectiveFar, reused across evaluations (the
-  /// evaluator is single-caller by contract, like the rest of its state).
+  /// Per-server set of (distance, client) entries.
+  std::vector<std::set<Entry, EntryOrder>> clients_;
+  /// Scratch for MaterializeEffectiveFar and ScanAllPairs, reused across
+  /// evaluations (the evaluator is single-caller by contract, like the
+  /// rest of its state).
   mutable std::vector<double> eff_buf_;
+  mutable std::vector<ServerIndex> best_s2_buf_;
   PairMax max_pair_;
+  /// Moves of the open trial, oldest first.
+  std::vector<Undo> undo_;
+  bool in_trial_ = false;
   std::int32_t active_ = 0;
   mutable std::int64_t full_rescans_ = 0;
 };

@@ -211,16 +211,7 @@ RepairResult RepairAssign(const Problem& problem, const Assignment& current,
     if (pair_b != pair_a && pair_b != kUnassigned) anchors.push_back(pair_b);
     for (const ServerIndex anchor : anchors) {
       // The anchor's witness: its farthest client (first on ties).
-      ClientIndex witness = -1;
-      double witness_d = -1.0;
-      for (ClientIndex c = 0; c < num_clients; ++c) {
-        if (eval.ServerOf(c) != anchor) continue;
-        const double d = view.cs(c, anchor);
-        if (d > witness_d) {
-          witness_d = d;
-          witness = c;
-        }
-      }
+      const ClientIndex witness = eval.WitnessOf(anchor);
       if (witness < 0) continue;
       for (ServerIndex s = 0; s < num_servers; ++s) {
         if (s == anchor || is_failed[static_cast<std::size_t>(s)] != 0 ||
@@ -262,10 +253,9 @@ RepairResult RepairAssign(const Problem& problem, const Assignment& current,
 }
 
 ReoptimizeResult ProposeReoptimization(const Problem& problem,
-                                       const IncrementalEvaluator& eval,
+                                       IncrementalEvaluator& eval,
                                        const ReoptimizeOptions& options) {
   DIACA_OBS_SPAN("core.reoptimize");
-  const std::int32_t num_clients = problem.num_clients();
   const std::int32_t num_servers = problem.num_servers();
   DIACA_CHECK_MSG(options.down.empty() ||
                       options.down.size() ==
@@ -283,23 +273,13 @@ ReoptimizeResult ProposeReoptimization(const Problem& problem,
   result.projected_max_len = eval.CurrentMax();
   if (options.max_moves <= 0) return result;
 
-  // All proposals are scored and applied on a scratch copy, so move k's
-  // gain is exact given moves 0..k-1; the caller's evaluator is untouched
+  // Proposals are applied to `eval` inside a trial, so move k's gain is
+  // exact given moves 0..k-1; the trial undoes them all on every exit
   // (hysteresis may decide not to apply anything).
-  IncrementalEvaluator scratch(eval);
-  const ClientBlockView& view = problem.client_block();
+  const IncrementalEvaluator::Trial trial(eval);
   const bool capacitated = options.assign.capacitated();
-  std::vector<std::int32_t> load(static_cast<std::size_t>(num_servers), 0);
-  if (capacitated) {
-    for (ClientIndex c = 0; c < num_clients; ++c) {
-      if (scratch.IsActive(c)) {
-        ++load[static_cast<std::size_t>(scratch.ServerOf(c))];
-      }
-    }
-  }
   auto has_room = [&](ServerIndex s) {
-    return !capacitated ||
-           load[static_cast<std::size_t>(s)] < options.assign.CapacityOf(s);
+    return !capacitated || eval.LoadOf(s) < options.assign.CapacityOf(s);
   };
 
   // The bottleneck loop of RepairAssign's bounded-migration phase, with
@@ -309,27 +289,19 @@ ReoptimizeResult ProposeReoptimization(const Problem& problem,
   // choice, and serving a worse-vetted move under deadline pressure is
   // exactly what graceful degradation exists to avoid).
   while (static_cast<std::int32_t>(result.moves.size()) < options.max_moves) {
-    const ServerIndex pair_a = scratch.MaxPairFirst();
+    const ServerIndex pair_a = eval.MaxPairFirst();
     if (pair_a == kUnassigned) break;
-    const ServerIndex pair_b = scratch.MaxPairSecond();
+    const ServerIndex pair_b = eval.MaxPairSecond();
     ClientIndex best_client = -1;
     ServerIndex best_target = kUnassigned;
-    double best_value = scratch.CurrentMax() - options.min_gain;
+    double best_value = eval.CurrentMax() - options.min_gain;
     bool out_of_budget = false;
-    std::vector<ServerIndex> anchors{pair_a};
-    if (pair_b != pair_a && pair_b != kUnassigned) anchors.push_back(pair_b);
+    const ServerIndex anchors[] = {pair_a,
+                                   pair_b != pair_a ? pair_b : kUnassigned};
     for (const ServerIndex anchor : anchors) {
+      if (anchor == kUnassigned) continue;
       // The anchor's witness: its farthest active client (first on ties).
-      ClientIndex witness = -1;
-      double witness_d = -1.0;
-      for (ClientIndex c = 0; c < num_clients; ++c) {
-        if (!scratch.IsActive(c) || scratch.ServerOf(c) != anchor) continue;
-        const double d = view.cs(c, anchor);
-        if (d > witness_d) {
-          witness_d = d;
-          witness = c;
-        }
-      }
+      const ClientIndex witness = eval.WitnessOf(anchor);
       if (witness < 0) continue;
       for (ServerIndex s = 0; s < num_servers; ++s) {
         if (s == anchor || is_down(s) || !has_room(s)) continue;
@@ -339,7 +311,7 @@ ReoptimizeResult ProposeReoptimization(const Problem& problem,
           break;
         }
         ++result.evaluations;
-        const double value = scratch.EvaluateMove(witness, s);
+        const double value = eval.EvaluateMove(witness, s);
         if (value < best_value) {
           best_value = value;
           best_client = witness;
@@ -353,17 +325,13 @@ ReoptimizeResult ProposeReoptimization(const Problem& problem,
       break;
     }
     if (best_client < 0) break;  // local optimum under min_gain
-    const ServerIndex from = scratch.ServerOf(best_client);
-    const double before = scratch.CurrentMax();
-    const double after = scratch.ApplyMove(best_client, best_target);
-    if (capacitated) {
-      --load[static_cast<std::size_t>(from)];
-      ++load[static_cast<std::size_t>(best_target)];
-    }
+    const ServerIndex from = eval.ServerOf(best_client);
+    const double before = eval.CurrentMax();
+    const double after = eval.ApplyMove(best_client, best_target);
     result.moves.push_back(
         MoveProposal{best_client, from, best_target, before - after});
   }
-  result.projected_max_len = scratch.CurrentMax();
+  result.projected_max_len = eval.CurrentMax();
   DIACA_OBS_COUNT("reoptimize.proposals",
                   static_cast<std::int64_t>(result.moves.size()));
   DIACA_OBS_COUNT("reoptimize.evaluations", result.evaluations);

@@ -110,11 +110,16 @@ struct ReoptimizeResult {
 /// strictly lower the maximum interaction path length by at least
 /// `options.min_gain`, spending the budget on the clients with the
 /// largest projected interactivity gain (the argmax-pair witnesses, as in
-/// RepairAssign's bounded-migration phase). `eval` is copied; the
-/// caller's evaluator is not modified. Deterministic in (problem, eval
-/// state, options) at every thread count.
+/// RepairAssign's bounded-migration phase, found in O(1) each). The
+/// proposals are tried on `eval` in place inside an
+/// IncrementalEvaluator::Trial and rolled back on every exit, a thrown
+/// error included, so `eval` is returned exactly as it was passed in:
+/// assignment, client sets and cached argmax pair. `eval` must not have
+/// a trial open. Each round scores at most 2(|S| - 1) moves and scans
+/// nothing in proportion to |C|. Deterministic in (problem, eval state, options) at
+/// every thread count.
 ReoptimizeResult ProposeReoptimization(const Problem& problem,
-                                       const IncrementalEvaluator& eval,
+                                       IncrementalEvaluator& eval,
                                        const ReoptimizeOptions& options);
 
 }  // namespace diaca::core

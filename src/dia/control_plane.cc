@@ -61,7 +61,21 @@ ControlPlaneReport ControlPlane::Run() const {
   ControlPlaneReport report;
   std::vector<char> member(static_cast<std::size_t>(num_clients), 0);
   std::vector<char> stranded(static_cast<std::size_t>(num_clients), 0);
+  // Running counts of the two flags, so telemetry needs no O(|C|) recount.
+  std::int32_t members_now = 0;
+  std::int32_t stranded_now = 0;
+  auto set_member = [&](core::ClientIndex c, char value) {
+    char& flag = member[static_cast<std::size_t>(c)];
+    members_now += value - flag;
+    flag = value;
+  };
+  auto set_stranded = [&](core::ClientIndex c, char value) {
+    char& flag = stranded[static_cast<std::size_t>(c)];
+    stranded_now += value - flag;
+    flag = value;
+  };
   std::vector<char> down(static_cast<std::size_t>(num_servers), 0);
+  // The boot solve may use every server, so it counts as an all-up mask.
   std::vector<char> prev_down(static_cast<std::size_t>(num_servers), 0);
   std::vector<double> row(view.server_stride());
   // Hysteresis streaks: (client, target) -> consecutive epochs proposed.
@@ -76,7 +90,7 @@ ControlPlaneReport ControlPlane::Run() const {
       static_cast<std::size_t>(trace_.initial_count));
   for (std::int32_t i = 0; i < trace_.initial_count; ++i) {
     initial[static_cast<std::size_t>(i)] = i;
-    member[static_cast<std::size_t>(i)] = 1;
+    set_member(i, 1);
   }
   core::Assignment boot =
       FreshGreedyAssignment(problem_, initial, params_.assign);
@@ -151,9 +165,9 @@ ControlPlaneReport ControlPlane::Run() const {
       rep.departures = static_cast<std::int32_t>(events.departures.size());
       rep.mobility_moves = static_cast<std::int32_t>(events.moves.size());
       auto leave = [&](core::ClientIndex c) {
-        member[static_cast<std::size_t>(c)] = 0;
+        set_member(c, 0);
         if (stranded[static_cast<std::size_t>(c)] != 0) {
-          stranded[static_cast<std::size_t>(c)] = 0;
+          set_stranded(c, 0);
         } else {
           eval.RemoveClient(c);
         }
@@ -171,7 +185,12 @@ ControlPlaneReport ControlPlane::Run() const {
     // Mandatory moves, deliberately outside the migration cap: capping
     // them would trade liveness for the SLO. Nearest-healthy placement
     // (not best-add) — the emergency path must stay cheap and boring.
-    if (servers_up > 0) {
+    // Every attached member sits on a server that was up at the previous
+    // boundary (arrivals, proposals and matured moves all avoid down
+    // servers), so the O(|C|) sweep has work only when the down mask
+    // changed or some member is stranded.
+    const bool rehome = down != prev_down || stranded_now > 0;
+    if (rehome && servers_up > 0) {
       for (core::ClientIndex c = 0; c < num_clients; ++c) {
         if (member[static_cast<std::size_t>(c)] == 0) continue;
         if (stranded[static_cast<std::size_t>(c)] != 0) {
@@ -183,7 +202,7 @@ ControlPlaneReport ControlPlane::Run() const {
             continue;
           }
           eval.AddClient(c, target);
-          stranded[static_cast<std::size_t>(c)] = 0;
+          set_stranded(c, 0);
           ++rep.forced_moves;
           continue;
         }
@@ -195,14 +214,14 @@ ControlPlaneReport ControlPlane::Run() const {
         eval.RemoveClient(c);
         const core::ServerIndex target = nearest_up(c);
         if (target == core::kUnassigned) {
-          stranded[static_cast<std::size_t>(c)] = 1;
+          set_stranded(c, 1);
           degrade(DegradedReason::kInfeasible);
           continue;
         }
         eval.AddClient(c, target);
         ++rep.forced_moves;
       }
-    } else {
+    } else if (rehome) {
       // Nothing to serve onto: strand every attached member and wait for
       // recovery. Degraded already recorded above.
       for (core::ClientIndex c = 0; c < num_clients; ++c) {
@@ -211,15 +230,15 @@ ControlPlaneReport ControlPlane::Run() const {
           continue;
         }
         eval.RemoveClient(c);
-        stranded[static_cast<std::size_t>(c)] = 1;
+        set_stranded(c, 1);
       }
     }
 
     // --- arrivals (and mobility-joins) ---------------------------------
     for (const core::ClientIndex c : joins) {
-      member[static_cast<std::size_t>(c)] = 1;
+      set_member(c, 1);
       if (servers_up == 0) {
-        stranded[static_cast<std::size_t>(c)] = 1;
+        set_stranded(c, 1);
         continue;
       }
       if (!rep.degraded && params_.deadline_evals >= 0 &&
@@ -232,7 +251,7 @@ ControlPlaneReport ControlPlane::Run() const {
         // Degraded floor: greedy-attach via nearest, no objective scans.
         const core::ServerIndex target = nearest_up(c);
         if (target == core::kUnassigned) {
-          stranded[static_cast<std::size_t>(c)] = 1;
+          set_stranded(c, 1);
           degrade(DegradedReason::kInfeasible);
           continue;
         }
@@ -253,7 +272,7 @@ ControlPlaneReport ControlPlane::Run() const {
         }
       }
       if (best == core::kUnassigned) {
-        stranded[static_cast<std::size_t>(c)] = 1;
+        set_stranded(c, 1);
         degrade(DegradedReason::kInfeasible);
         continue;
       }
@@ -290,8 +309,9 @@ ControlPlaneReport ControlPlane::Run() const {
           next_streaks[key] = it == streaks.end() ? 1 : it->second + 1;
         }
         // Apply matured moves in proposal order, re-validated against
-        // the live evaluator (the proposal round ran on a scratch copy,
-        // and earlier matured moves may have shifted the landscape).
+        // the live evaluator (the proposal round's trial moves were
+        // rolled back, and earlier matured moves may have shifted the
+        // landscape).
         for (const core::MoveProposal& p : proposed.moves) {
           if (rep.migrations >= params_.migration_cap) break;
           const auto key = std::make_pair(p.client, p.to);
@@ -320,12 +340,6 @@ ControlPlaneReport ControlPlane::Run() const {
     }
 
     // --- telemetry ------------------------------------------------------
-    std::int32_t members_now = 0;
-    std::int32_t stranded_now = 0;
-    for (core::ClientIndex c = 0; c < num_clients; ++c) {
-      members_now += member[static_cast<std::size_t>(c)];
-      stranded_now += stranded[static_cast<std::size_t>(c)];
-    }
     rep.members = members_now;
     rep.stranded = stranded_now;
     rep.objective = eval.CurrentMax();

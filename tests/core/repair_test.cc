@@ -16,6 +16,7 @@
 #include "core/nearest_server.h"
 #include "core/solver_registry.h"
 #include "../testutil.h"
+#include "evaluator_testutil.h"
 
 namespace diaca::core {
 namespace {
@@ -303,6 +304,162 @@ TEST(ReoptimizeTest, DeterministicAcrossThreadsAndSeeds) {
     }
     EXPECT_EQ(evals_by_threads[0], evals_by_threads[1]) << "seed " << seed;
   }
+}
+
+// --- in-place reoptimization against a copy-based reference --------------
+
+// The bottleneck proposer on a copy of the evaluator, with brute-force
+// witness scans and load recounts: the specification the in-place trial
+// version must reproduce move for move.
+ReoptimizeResult ReferenceReoptimization(const Problem& p,
+                                         const IncrementalEvaluator& eval,
+                                         const ReoptimizeOptions& options) {
+  ReoptimizeResult result;
+  result.projected_max_len = eval.CurrentMax();
+  if (options.max_moves <= 0) return result;
+  IncrementalEvaluator scratch(eval);
+  auto has_room = [&](ServerIndex s) {
+    if (!options.assign.capacitated()) return true;
+    std::int32_t load = 0;
+    for (ClientIndex c = 0; c < p.num_clients(); ++c) {
+      load += scratch.IsActive(c) && scratch.ServerOf(c) == s ? 1 : 0;
+    }
+    return load < options.assign.CapacityOf(s);
+  };
+  auto is_down = [&](ServerIndex s) {
+    return !options.down.empty() && options.down[static_cast<std::size_t>(s)];
+  };
+  while (static_cast<std::int32_t>(result.moves.size()) < options.max_moves) {
+    const ServerIndex pair_a = scratch.MaxPairFirst();
+    if (pair_a == kUnassigned) break;
+    const ServerIndex pair_b = scratch.MaxPairSecond();
+    ClientIndex best_client = -1;
+    ServerIndex best_target = kUnassigned;
+    double best_value = scratch.CurrentMax() - options.min_gain;
+    bool out_of_budget = false;
+    std::vector<ServerIndex> anchors{pair_a};
+    if (pair_b != pair_a) anchors.push_back(pair_b);
+    for (const ServerIndex anchor : anchors) {
+      const ClientIndex witness =
+          test::BruteWitness(p, scratch.assignment(), anchor);
+      if (witness < 0) continue;
+      for (ServerIndex s = 0; s < p.num_servers(); ++s) {
+        if (s == anchor || is_down(s) || !has_room(s)) continue;
+        if (options.eval_budget >= 0 &&
+            result.evaluations >= options.eval_budget) {
+          out_of_budget = true;
+          break;
+        }
+        ++result.evaluations;
+        const double value = scratch.EvaluateMove(witness, s);
+        if (value < best_value) {
+          best_value = value;
+          best_client = witness;
+          best_target = s;
+        }
+      }
+      if (out_of_budget) break;
+    }
+    if (out_of_budget) {
+      result.budget_exhausted = true;
+      break;
+    }
+    if (best_client < 0) break;
+    const ServerIndex from = scratch.ServerOf(best_client);
+    const double before = scratch.CurrentMax();
+    const double after = scratch.ApplyMove(best_client, best_target);
+    result.moves.push_back(
+        MoveProposal{best_client, from, best_target, before - after});
+  }
+  result.projected_max_len = scratch.CurrentMax();
+  return result;
+}
+
+void ExpectSameProposals(const ReoptimizeResult& want,
+                         const ReoptimizeResult& got) {
+  ASSERT_EQ(got.moves.size(), want.moves.size());
+  for (std::size_t i = 0; i < want.moves.size(); ++i) {
+    EXPECT_EQ(got.moves[i].client, want.moves[i].client) << "move " << i;
+    EXPECT_EQ(got.moves[i].from, want.moves[i].from) << "move " << i;
+    EXPECT_EQ(got.moves[i].to, want.moves[i].to) << "move " << i;
+    EXPECT_EQ(got.moves[i].gain, want.moves[i].gain) << "move " << i;
+  }
+  EXPECT_EQ(got.evaluations, want.evaluations);
+  EXPECT_EQ(got.budget_exhausted, want.budget_exhausted);
+  EXPECT_EQ(got.projected_max_len, want.projected_max_len);
+}
+
+TEST(ReoptimizeTest, InPlaceMatchesCopyBasedReference) {
+  for (const int threads : {1, 4}) {
+    SetGlobalThreads(threads);
+    for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+      Rng rng(500 + seed);
+      const Problem p = test::TiedProblem(36, 6, rng);
+      // A partial assignment: every fifth client is inactive, so witnesses
+      // must skip clients that left.
+      Assignment start = NearestServerAssign(p);
+      for (ClientIndex c = 0; c < p.num_clients(); c += 5) start[c] = kUnassigned;
+      IncrementalEvaluator eval(p, start, IncrementalEvaluator::AllowPartial{});
+      for (int config = 0; config < 4; ++config) {
+        SCOPED_TRACE(::testing::Message() << "threads " << threads << " seed "
+                                          << seed << " config " << config);
+        ReoptimizeOptions options;
+        options.max_moves = 6;
+        options.min_gain = 0.5;  // integer latencies: gains are whole ms
+        if (config == 1) options.assign.capacity = 8;
+        if (config == 2) {
+          options.down.assign(static_cast<std::size_t>(p.num_servers()), 0);
+          options.down[static_cast<std::size_t>(seed % 6)] = 1;
+        }
+        // Runs out inside the second anchor or a later round.
+        if (config == 3) options.eval_budget = p.num_servers() + 2;
+        const IncrementalEvaluator before = eval;
+        const ReoptimizeResult want = ReferenceReoptimization(p, eval, options);
+        const ReoptimizeResult got = ProposeReoptimization(p, eval, options);
+        ExpectSameProposals(want, got);
+        test::ExpectSameEvaluator(p, before, eval);
+        // Epoch over epoch: apply the first proposal for real so the next
+        // configuration starts from a state with history.
+        if (!got.moves.empty()) {
+          eval.ApplyMove(got.moves[0].client, got.moves[0].to);
+        }
+      }
+    }
+  }
+  SetGlobalThreads(0);
+}
+
+TEST(ReoptimizeTest, ExhaustedBudgetRestoresTheEvaluator) {
+  Rng rng(601);
+  const Problem p = test::TiedProblem(30, 5, rng);
+  IncrementalEvaluator eval(p, NearestServerAssign(p));
+  for (std::int64_t budget = 0; budget <= 3 * p.num_servers(); ++budget) {
+    ReoptimizeOptions options;
+    options.max_moves = 4;
+    options.min_gain = 0.5;
+    options.eval_budget = budget;
+    const IncrementalEvaluator before = eval;
+    const ReoptimizeResult want = ReferenceReoptimization(p, eval, options);
+    const ReoptimizeResult got = ProposeReoptimization(p, eval, options);
+    SCOPED_TRACE(::testing::Message() << "budget " << budget);
+    ExpectSameProposals(want, got);
+    test::ExpectSameEvaluator(p, before, eval);
+  }
+}
+
+TEST(ReoptimizeTest, RejectsAnOpenTrialAndLeavesItIntact) {
+  Rng rng(607);
+  const Problem p = test::RandomProblem(20, 4, rng);
+  IncrementalEvaluator eval(p, NearestServerAssign(p));
+  const IncrementalEvaluator before = eval;
+  {
+    const IncrementalEvaluator::Trial trial(eval);
+    eval.ApplyMove(0, (eval.ServerOf(0) + 1) % p.num_servers());
+    ReoptimizeOptions options;
+    options.max_moves = 2;
+    EXPECT_THROW(ProposeReoptimization(p, eval, options), Error);
+  }
+  test::ExpectSameEvaluator(p, before, eval);
 }
 
 TEST(RepairTest, RegistryRequiresInitialAndFailedSet) {

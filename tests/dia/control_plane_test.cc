@@ -249,6 +249,33 @@ TEST(ControlPlaneTest, AllServersDownStrandsThenRecovers) {
   EXPECT_TRUE(report.converged);
 }
 
+TEST(ControlPlaneTest, StrandedMembersReattachWhenRoomFreesUnderTheSameOutage) {
+  // A crash leaves the survivor without room for every orphan, so some
+  // members are stranded. Departures then free room while the same server
+  // stays down: the stranded members must be re-attached at the next
+  // boundary, without waiting for the down mask to change.
+  data::ChurnParams churn = CalmChurn(8);
+  churn.departure_prob = 0.2;
+  const ChurnSetup setup = MakeSetup(churn, 20, 60, 2, 3);
+  sim::FaultPlan plan;
+  plan.Crash(0, 1000.0, 7000.0);
+  ControlPlaneParams params;
+  params.faults = &plan;
+  params.assign.capacity = 12;
+  const ControlPlane plane(setup.built.problem, setup.trace, params);
+  const ControlPlaneReport report = plane.Run();
+  ASSERT_GT(report.epochs[1].stranded, 0) << "crash left room; adjust setup";
+  std::int32_t reattached_under_outage = 0;
+  for (std::size_t e = 2; e < 7; ++e) {
+    EXPECT_EQ(report.epochs[e].servers_up, 1) << "epoch " << e;
+    if (report.epochs[e - 1].stranded > 0) {
+      reattached_under_outage += report.epochs[e].forced_moves;
+    }
+  }
+  EXPECT_GT(reattached_under_outage, 0);
+  EXPECT_EQ(report.epochs.back().stranded, 0);
+}
+
 TEST(ControlPlaneTest, OracleSamplesOnlyHealthyEpochs) {
   const ChurnSetup setup = MakeSetup(BusyChurn(9), 30, 90, 3, 17);
   ControlPlaneParams params;
