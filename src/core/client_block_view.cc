@@ -36,7 +36,6 @@ void ClientBlockView::FillRow(ClientIndex c, double* out) const {
     return;
   }
   FillRowSlow(c, out);
-  rows_filled_.fetch_add(1, std::memory_order_relaxed);
 }
 
 void ClientBlockView::GatherColumn(ServerIndex s, const ClientIndex* ids,
@@ -63,29 +62,6 @@ void ClientBlockView::FillColumn(ServerIndex s, double* out) const {
   }
   FillColumnSlow(s, out);
   columns_gathered_.fetch_add(1, std::memory_order_relaxed);
-}
-
-void ClientBlockView::SortColumnIds(ServerIndex s, ClientIndex* ids) const {
-  SortColumnIdsSlow(s, ids);
-  columns_gathered_.fetch_add(1, std::memory_order_relaxed);
-}
-
-void ClientBlockView::SortColumnIdsSlow(ServerIndex s,
-                                        ClientIndex* ids) const {
-  thread_local std::vector<double> scratch;
-  scratch.resize(static_cast<std::size_t>(num_clients_));
-  if (raw_block_ != nullptr) {
-    const double* p = raw_block_ + static_cast<std::size_t>(s);
-    for (std::int32_t c = 0; c < num_clients_; ++c) {
-      scratch[static_cast<std::size_t>(c)] =
-          p[static_cast<std::size_t>(c) * server_stride_];
-    }
-  } else {
-    FillColumnSlow(s, scratch.data());
-  }
-  for (std::int32_t c = 0; c < num_clients_; ++c) ids[c] = c;
-  simd::ArgsortDistIndex(scratch.data(), ids,
-                         static_cast<std::size_t>(num_clients_));
 }
 
 void ClientBlockView::BumpTileBytesPeak(std::int64_t live_bytes) const {
@@ -228,48 +204,9 @@ void ClientBlockView::ForEachTile(
   });
 }
 
-simd::CandidateResult ClientBlockView::ScanCandidates(
-    ServerIndex s, const ClientIndex* ids, std::size_t count, double reach,
-    double max_len, std::int32_t room, double cutoff) const {
-  // Pruning off: drop the caller's incumbent seed so the scan does the
-  // full exact work (the kernel's own certified tightening remains — that
-  // is baseline behavior, not the filter layer).
-  if (!tile_.bound_pruning) cutoff = std::numeric_limits<double>::infinity();
-  simd::CandidateResult r;
-  if (raw_block_ != nullptr) {
-    thread_local std::vector<double> scratch;
-    scratch.resize(count);
-    for (std::size_t i = 0; i < count; ++i) {
-      scratch[i] =
-          raw_block_[static_cast<std::size_t>(ids[i]) * server_stride_ +
-                     static_cast<std::size_t>(s)];
-    }
-    r = simd::BestCandidate(scratch.data(), count, reach, max_len, room,
-                            cutoff);
-  } else {
-    r = ScanCandidatesSlow(s, ids, count, reach, max_len, room, cutoff);
-    // Blocks the bound rejected were never gathered — synthesis avoided.
-    // Materialized scans avoid nothing (data is resident), so only lazy
-    // backends count.
-    if (tile_.bound_pruning && r.blocks_pruned > 0) {
-      tiles_pruned_.fetch_add(r.blocks_pruned, std::memory_order_relaxed);
-    }
-  }
-  columns_gathered_.fetch_add(1, std::memory_order_relaxed);
-  return r;
-}
-
-simd::CandidateResult ClientBlockView::ScanCandidatesSlow(
-    ServerIndex s, const ClientIndex* ids, std::size_t count, double reach,
-    double max_len, std::int32_t room, double cutoff) const {
-  thread_local std::vector<double> scratch;
-  scratch.resize(count);
-  GatherColumnSlow(s, ids, count, scratch.data());
-  return simd::BestCandidate(scratch.data(), count, reach, max_len, room,
-                             cutoff);
-}
-
 void ClientBlockView::CountPrunedTiles(std::int64_t n) const {
+  // Resident data: nothing was avoided.
+  if (raw_block_ != nullptr) return;
   tiles_pruned_.fetch_add(n, std::memory_order_relaxed);
 }
 
@@ -446,7 +383,6 @@ std::vector<double> ClientBlockView::MaterializeBlock() const {
 ClientBlockStats ClientBlockView::stats() const {
   ClientBlockStats s;
   s.tiles_loaded = tiles_loaded_.load(std::memory_order_relaxed);
-  s.rows_filled = rows_filled_.load(std::memory_order_relaxed);
   s.columns_gathered = columns_gathered_.load(std::memory_order_relaxed);
   s.tile_bytes_peak = tile_bytes_peak_.load(std::memory_order_relaxed);
   s.tiles_pruned = tiles_pruned_.load(std::memory_order_relaxed);
@@ -684,18 +620,6 @@ void OracleTileView::FillColumnSlow(ServerIndex s, double* out) const {
                    static_cast<std::size_t>(num_clients_));
 }
 
-simd::CandidateResult OracleTileView::ScanCandidatesSlow(
-    ServerIndex s, const ClientIndex* ids, std::size_t count, double reach,
-    double max_len, std::int32_t room, double cutoff) const {
-  // Fused gather + pruned scan: candidate blocks the bound rejects are
-  // never even gathered (see simd::BestCandidateGather).
-  return simd::BestCandidateGather(
-      server_cols_.data() +
-          static_cast<std::size_t>(s) * static_cast<std::size_t>(num_rows_),
-      base_row_.data(), access_.empty() ? nullptr : access_.data(), ids,
-      count, reach, max_len, room, cutoff);
-}
-
 void OracleTileView::FillTileSlow(ClientIndex begin, ClientIndex end,
                                   double* out) const {
   for (ClientIndex c = begin; c < end; ++c) {
@@ -795,14 +719,6 @@ void OracleTileView::FoldAssignedMaxSlow(const ServerIndex* assign,
     }
   }
   if (pruned > 0) CountPrunedTiles(pruned);
-}
-
-void OracleTileView::SortColumnIdsSlow(ServerIndex s, ClientIndex* ids) const {
-  simd::ArgsortGatherDistIndex(
-      server_cols_.data() +
-          static_cast<std::size_t>(s) * static_cast<std::size_t>(num_rows_),
-      base_row_.data(), access_.empty() ? nullptr : access_.data(), ids,
-      static_cast<std::size_t>(num_clients_));
 }
 
 void OracleTileView::BuildNearestIndex() const {

@@ -13,7 +13,7 @@
 //   * cs(c, s) / FillRow(c)  — random access for spot lookups and
 //                              row-at-a-time consumers;
 //   * GatherColumn / FillColumn — column access for the server-major
-//                              passes (greedy candidate lists, LFB batch
+//                              passes (greedy bucket lists, LFB batch
 //                              scans).
 //
 // Two backends implement it:
@@ -46,13 +46,11 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <limits>
 #include <memory>
 #include <mutex>
 #include <span>
 #include <vector>
 
-#include "common/simd/kernels.h"
 #include "core/types.h"
 #include "net/distance_oracle.h"
 
@@ -78,9 +76,6 @@ struct ClientBlockStats {
   /// Tiles synthesized by a lazy backend (0 on MaterializedView: its
   /// tiles are zero-copy aliases, not loads).
   std::int64_t tiles_loaded = 0;
-  /// Client rows synthesized outside tile traversals (FillRow on a lazy
-  /// backend).
-  std::int64_t rows_filled = 0;
   /// Column accesses served (GatherColumn + FillColumn, both backends).
   std::int64_t columns_gathered = 0;
   /// High-water bytes of live tile-pool buffers across all traversals
@@ -88,11 +83,10 @@ struct ClientBlockStats {
   std::int64_t tile_bytes_peak = 0;
   /// Synthesis units a certified bound skipped without touching their
   /// exact values: whole tiles rejected by a ForEachTileBounded /
-  /// FoldAssignedMax predicate plus 512-entry candidate blocks the
-  /// cutoff-seeded ScanCandidates never gathered. Always 0 on
-  /// MaterializedView (its data is resident — nothing is avoided) and
-  /// under the scalar SIMD backend (which scans element-wise); unlike the
-  /// solver outputs this counter is telemetry, not part of the
+  /// FoldAssignedMax predicate plus 512-entry units of greedy candidate
+  /// lanes its bucket bounds retired without a gather. Always 0 on
+  /// MaterializedView (its data is resident — nothing is avoided); unlike
+  /// the solver outputs this counter is telemetry, not part of the
   /// bit-determinism contract.
   std::int64_t tiles_pruned = 0;
 };
@@ -114,11 +108,12 @@ struct TileOptions {
   /// [0, pool_tiles - 1]; 0 — or a threadless pool — degrades to
   /// synchronous generation. Results are bit-identical at every depth.
   std::int32_t prefetch_depth = 2;
-  /// Master switch for the certified filter-and-refine paths (bounded
-  /// tile traversal skips, cutoff-seeded candidate scans, assigned-fold
-  /// tile rejection). Off forces every bound-gated path to do the full
-  /// exact work — slower, bit-identical output — which is how the tier-1
-  /// smoke validates the certification.
+  /// Master switch for the view's certified filter-and-refine paths
+  /// (bounded tile traversal skips, assigned-fold tile rejection; greedy's
+  /// cutoff-seeded scans follow AssignOptions::bound_pruning). Off forces
+  /// every bound-gated path to do the full exact work — slower,
+  /// bit-identical output — which is how the tier-1 smoke validates the
+  /// certification.
   bool bound_pruning = true;
 };
 
@@ -151,9 +146,6 @@ class ClientBlockView {
   /// pad lanes 0.0 — the layout the SIMD kernels run on.
   std::size_t server_stride() const { return server_stride_; }
 
-  /// True when the whole padded block is resident (raw_block() != nullptr).
-  bool materialized() const { return raw_block_ != nullptr; }
-
   /// The resident padded block, or nullptr on lazy backends. Fast paths
   /// that need contiguous multi-row access branch on this once and fall
   /// back to tiles.
@@ -174,20 +166,13 @@ class ClientBlockView {
   void FillRow(ClientIndex c, double* out) const;
 
   /// out[i] = cs(ids[i], s) for i in [0, count) — the server-major gather
-  /// the greedy candidate lists stream.
+  /// greedy's bucket refinement reads.
   void GatherColumn(ServerIndex s, const ClientIndex* ids, std::size_t count,
                     double* out) const;
 
   /// out[c] = cs(c, s) for every client — the full-column scan of the LFB
-  /// batch collection.
+  /// batch collection and greedy's one bucketing pass per server.
   void FillColumn(ServerIndex s, double* out) const;
-
-  /// Writes into ids[0..num_clients()) the permutation of all clients
-  /// sorted ascending by (cs(c, s), c) — bit-for-bit the order
-  /// simd::RadixSortDistIndex produces on the full column, but lazy
-  /// backends fuse the gather into the sort (simd::ArgsortGatherDistIndex)
-  /// and never materialize the column. The greedy preprocessing order.
-  void SortColumnIds(ServerIndex s, ClientIndex* ids) const;
 
   /// Visit ascending, disjoint tiles covering every client exactly once.
   /// MaterializedView emits one zero-copy tile; lazy backends synthesize
@@ -268,20 +253,6 @@ class ClientBlockView {
   /// O(n x |S| + |C|) work.
   void FillNearest(ServerIndex* server_out, double* dist_out) const;
 
-  /// Fused greedy candidate scan over ids[0..count) — bit-identical to
-  /// GatherColumn into a scratch array followed by simd::BestCandidate,
-  /// but lazy backends reduce the candidate distances while they are
-  /// cache-resident (OracleTileView prunes whole 512-entry blocks before
-  /// gathering them at all). `cutoff` seeds the kernel's incumbent (see
-  /// simd::BestCandidate): callers holding a cross-server incumbent pass
-  /// it so losing scans prune from the first block. Precondition: the ids
-  /// are sorted so their distances to s ascend (the greedy preprocessing
-  /// order).
-  simd::CandidateResult ScanCandidates(
-      ServerIndex s, const ClientIndex* ids, std::size_t count, double reach,
-      double max_len, std::int32_t room,
-      double cutoff = std::numeric_limits<double>::infinity()) const;
-
   /// The full padded block as a fresh vector (|C| rows of
   /// server_stride()). The escape hatch for consumers that genuinely need
   /// random row access over the whole block (the exact solver's
@@ -292,9 +263,9 @@ class ClientBlockView {
   ClientBlockStats stats() const;
 
   /// Credit `n` 512-entry candidate blocks as pruned-without-synthesis.
-  /// Solvers call this when a certified bound retires a whole would-be
-  /// exact scan before any kernel ran (the greedy dense filter): the
-  /// scan's blocks never existed, so only the caller knows how many were
+  /// Solvers call this when a certified bound retires candidate lanes
+  /// before any gather ran (greedy's bucket bounds): only the caller knows
+  /// how many were avoided. A no-op on a resident block, where nothing is
   /// avoided. Telemetry only — feeds ClientBlockStats::tiles_pruned.
   void CountPrunedTiles(std::int64_t n) const;
 
@@ -313,13 +284,6 @@ class ClientBlockView {
   /// pads included).
   virtual void FillTileSlow(ClientIndex begin, ClientIndex end,
                             double* out) const = 0;
-  /// Candidate scan without a resident block. The default gathers through
-  /// GatherColumnSlow into a thread-local scratch and runs BestCandidate;
-  /// backends with structure to exploit (OracleTileView) override with a
-  /// fused kernel. Must return bits identical to the default.
-  virtual simd::CandidateResult ScanCandidatesSlow(
-      ServerIndex s, const ClientIndex* ids, std::size_t count, double reach,
-      double max_len, std::int32_t room, double cutoff) const;
   /// Column aggregate without backend structure: one FillColumn pass.
   virtual ColumnAggregate ColumnBoundsSlow(ServerIndex s) const;
   /// Exact access-delay range of logical tile t; the default (no access
@@ -335,8 +299,6 @@ class ClientBlockView {
   /// Nearest-server scan; default is FillRow + simd::ArgMinFirst per row.
   virtual void FillNearestSlow(ServerIndex* server_out,
                                double* dist_out) const;
-  /// Sorted-column permutation; default is FillColumn + ArgsortDistIndex.
-  virtual void SortColumnIdsSlow(ServerIndex s, ClientIndex* ids) const;
 
   bool bound_pruning() const { return tile_.bound_pruning; }
 
@@ -351,7 +313,6 @@ class ClientBlockView {
   void BumpTileBytesPeak(std::int64_t live_bytes) const;
 
   mutable std::atomic<std::int64_t> tiles_loaded_{0};
-  mutable std::atomic<std::int64_t> rows_filled_{0};
   mutable std::atomic<std::int64_t> columns_gathered_{0};
   mutable std::atomic<std::int64_t> tile_bytes_peak_{0};
   mutable std::atomic<std::int64_t> tiles_pruned_{0};
@@ -418,9 +379,6 @@ class OracleTileView final : public ClientBlockView {
   void FillColumnSlow(ServerIndex s, double* out) const override;
   void FillTileSlow(ClientIndex begin, ClientIndex end,
                     double* out) const override;
-  simd::CandidateResult ScanCandidatesSlow(
-      ServerIndex s, const ClientIndex* ids, std::size_t count, double reach,
-      double max_len, std::int32_t room, double cutoff) const override;
   ColumnAggregate ColumnBoundsSlow(ServerIndex s) const override;
   void TileAccessRange(std::size_t t, double* lo, double* hi) const override;
   void GatherAssignedSlow(const ServerIndex* assign,
@@ -429,7 +387,6 @@ class OracleTileView final : public ClientBlockView {
                            double* far) const override;
   void FillNearestSlow(ServerIndex* server_out,
                        double* dist_out) const override;
-  void SortColumnIdsSlow(ServerIndex s, ClientIndex* ids) const override;
 
  private:
   OracleTileView(std::int32_t num_clients, std::int32_t num_servers,

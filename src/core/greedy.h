@@ -8,9 +8,10 @@
 // O(1) prefix count, and the max reach term of Δl is shared across all
 // clients of a server, giving O(|S||C|) per iteration as in the paper.
 //
-// Capacitated variant (§IV-E): saturated servers are skipped, Δn is capped
-// by the remaining capacity, and an overflowing batch is truncated to its
-// farthest members (which always include c; DESIGN.md §5).
+// Capacitated variant (§IV-E): saturated servers are skipped and Δn is
+// capped by the remaining capacity. With Δn capped, no client past the
+// capacity-th is cheaper than the capacity-th, so the winning batch always
+// fits its server and is never truncated (DESIGN.md §5).
 #pragma once
 
 #include <cstdint>

@@ -76,8 +76,8 @@ TEST(ClientBlockViewTest, CellsMatchMaterializedBitForBit) {
     tile.tile_clients = tile_clients;
     const Problem tiled =
         Problem::FromOracleTiled(sub.oracle, sub.servers, sub.clients, tile);
-    EXPECT_FALSE(tiled.client_block().materialized());
-    EXPECT_TRUE(dense.client_block().materialized());
+    EXPECT_EQ(tiled.client_block().raw_block(), nullptr);
+    EXPECT_NE(dense.client_block().raw_block(), nullptr);
     for (ClientIndex c = 0; c < dense.num_clients(); ++c) {
       for (ServerIndex s = 0; s < dense.num_servers(); ++s) {
         ASSERT_EQ(dense.client_block().cs(c, s), tiled.client_block().cs(c, s))
@@ -326,9 +326,10 @@ TEST(ClientBlockViewTest, GreedySolveSynthesizesNoTilesOnStreamedBackend) {
   const SolveResult rt =
       SolverRegistry::Default().Solve("greedy", tiled, SolveOptions{});
   // The bounds-first greedy never synthesizes a tile on a lazy backend:
-  // preprocessing sorts through the fused gather argsort, the rounds scan
-  // through ScanCandidates, batches re-gather single columns, and the
-  // objective fold reads only the assigned diagonal.
+  // preprocessing buckets one FillColumn per server, the rounds refine
+  // buckets through GatherColumn, a batch reads only its farthest
+  // client's distance, and the objective fold reads only the assigned
+  // diagonal.
   EXPECT_EQ(rt.stats.tiles_loaded, 0);
   EXPECT_EQ(rt.stats.tile_bytes_peak, 0);
   const ClientBlockStats after = tiled.client_block().stats();
@@ -446,8 +447,8 @@ TEST(ClientBlockViewTest, CloudBuildsIdenticalProblemWithoutMaterializing) {
   const data::ClientCloud streamed =
       data::BuildClientCloud(params, 13, oracle, servers);
 
-  EXPECT_TRUE(mat.problem.client_block().materialized());
-  EXPECT_FALSE(streamed.problem.client_block().materialized());
+  EXPECT_NE(mat.problem.client_block().raw_block(), nullptr);
+  EXPECT_EQ(streamed.problem.client_block().raw_block(), nullptr);
   EXPECT_EQ(mat.attach, streamed.attach);
   EXPECT_EQ(mat.access_ms, streamed.access_ms);
   ASSERT_EQ(mat.problem.num_clients(), streamed.problem.num_clients());

@@ -96,6 +96,22 @@ if(NOT "${out}${err}" MATCHES "nearest")
   message(FATAL_ERROR "algorithm error does not list the valid set:\n${err}")
 endif()
 
+# The pre-fold oracle spellings are gone: --distances must be rejected
+# by the flag parser like any other unknown flag.
+execute_process(COMMAND ${DIACA_BIN} assign --matrix=world.txt
+                        --servers=servers.txt --algorithm=greedy
+                        --distances=rows --out=x.txt
+                WORKING_DIRECTORY ${WORK_DIR}
+                RESULT_VARIABLE code
+                OUTPUT_VARIABLE out
+                ERROR_VARIABLE err)
+if(code EQUAL 0)
+  message(FATAL_ERROR "--distances invocation unexpectedly succeeded")
+endif()
+if(NOT "${err}" MATCHES "unknown flag --distances")
+  message(FATAL_ERROR "--distances was not rejected as an unknown flag:\n${err}")
+endif()
+
 # Simulate the session end to end from the produced files.
 run_step(${DIACA_BIN} simulate --matrix=world.txt --servers=servers.txt
          --assignment=assignment.txt --duration-ms=1500)

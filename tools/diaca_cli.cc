@@ -95,9 +95,7 @@ int Usage() {
       "  path length). Each backend takes only its own keys: cache=N,\n"
       "  shards=N (rows), landmarks=K, rsamples=N, rq=N (landmarks),\n"
       "  beacons=N, rounds=N, dims=N (coords), k=N, rsamples=N, rq=N\n"
-      "  (hublabels), seed=N (all; grammar in docs/CLI.md; the legacy\n"
-      "  --distances/--row-cache/--landmarks spellings still work for\n"
-      "  one release and warn).\n"
+      "  (hublabels), seed=N (all; grammar in docs/CLI.md).\n"
       "  assign/evaluate/cloud accept --block=materialized|tiled\n"
       "  (tiled streams the client block through the oracle instead of\n"
       "  materializing |C|x|S|; assignments are bit-identical),\n"
@@ -116,45 +114,17 @@ int Usage() {
   return 2;
 }
 
-// True when the user picked an oracle backend on the command line (either
-// spelling); commands with a different built-in default (cloud) only
-// override when they did not.
-bool OracleConfiguredExplicitly(const Flags& flags) {
-  return flags.Has("oracle") || flags.Has("distances");
-}
-
-// Oracle configuration: the structured --oracle BACKEND[:key=val,...]
-// spec wins; the legacy --distances/--row-cache/--landmarks spellings
-// still resolve for one release, with a deprecation warning.
+// Oracle configuration from --oracle BACKEND[:key=val,...]; without it,
+// the process default backend with default options.
 net::OracleOptions OracleOptionsFromFlags(const Flags& flags) {
-  const bool has_spec = flags.Has("oracle");
-  const bool has_legacy = flags.Has("distances") || flags.Has("row-cache") ||
-                          flags.Has("landmarks");
-  if (has_spec && has_legacy) {
-    throw Error(
-        "--oracle and the legacy --distances/--row-cache/--landmarks flags "
-        "are mutually exclusive; fold everything into "
-        "--oracle BACKEND[:cache=N,landmarks=K,...]");
-  }
-  if (has_spec) {
-    const std::string spec = flags.GetString("oracle", "dense");
-    net::OracleOptions opt = net::ParseOracleSpec(spec);
-    // The sketch seed follows --seed unless the spec pins its own.
-    if (spec.find("seed=") == std::string::npos) {
-      opt.seed = static_cast<std::uint64_t>(flags.GetInt("seed", 1));
-    }
-    return opt;
-  }
-  if (has_legacy) {
-    std::cerr << "warning: --distances/--row-cache/--landmarks are "
-                 "deprecated; use --oracle BACKEND[:cache=N,landmarks=K,...] "
-                 "(see docs/CLI.md)\n";
-  }
   net::OracleOptions opt;
   opt.backend = net::DefaultOracleBackend();
-  opt.row_cache_capacity =
-      static_cast<std::size_t>(flags.GetInt("row-cache", 128));
-  opt.num_landmarks = static_cast<std::int32_t>(flags.GetInt("landmarks", 16));
+  if (flags.Has("oracle")) {
+    const std::string spec = flags.GetString("oracle", "dense");
+    opt = net::ParseOracleSpec(spec);
+    // The sketch seed follows --seed unless the spec pins its own.
+    if (spec.find("seed=") != std::string::npos) return opt;
+  }
   opt.seed = static_cast<std::uint64_t>(flags.GetInt("seed", 1));
   return opt;
 }
@@ -526,9 +496,9 @@ int CmdCloud(const Flags& flags) {
       data::GenerateWaxmanTopology(params.substrate, seed);
   // The cloud pipeline exists for the sublinear path, so it defaults to
   // rows even though the process default is dense; an explicit --oracle
-  // (or legacy --distances) still wins.
+  // still wins.
   net::OracleOptions opt = OracleOptionsFromFlags(flags);
-  if (!OracleConfiguredExplicitly(flags)) {
+  if (!flags.Has("oracle")) {
     opt.backend = net::OracleBackend::kRows;
   }
   const net::DistanceOracle oracle = net::DistanceOracle::FromGraph(graph, opt);
@@ -610,7 +580,7 @@ int CmdChurn(const Flags& flags) {
   const net::Graph graph = data::GenerateWaxmanTopology(substrate, seed);
   // Sublinear path by default, like cloud; an explicit --oracle wins.
   net::OracleOptions opt = OracleOptionsFromFlags(flags);
-  if (!OracleConfiguredExplicitly(flags)) {
+  if (!flags.Has("oracle")) {
     opt.backend = net::OracleBackend::kRows;
   }
   const net::DistanceOracle oracle = net::DistanceOracle::FromGraph(graph, opt);
@@ -725,8 +695,7 @@ int main(int argc, char** argv) {
                       {"out", "dataset", "nodes", "clusters", "seed", "matrix",
                        "servers", "method", "algorithm", "capacity",
                        "assignment", "duration-ms", "ops-per-second", "apsp",
-                       "failover", "distances", "graph", "clients",
-                       "row-cache", "landmarks", "oracle", "block",
+                       "failover", "graph", "clients", "oracle", "block",
                        "tile-clients", "tile-depth", "prune",
                        "rss-budget-mb", "epochs", "epoch-ms", "churn",
                        "migration-cap", "hysteresis", "hysteresis-eps",
@@ -734,9 +703,7 @@ int main(int argc, char** argv) {
     net::SetDefaultApspBackend(
         net::ParseApspBackend(flags.GetString("apsp", "auto")));
     net::SetDefaultOracleBackend(
-        flags.Has("oracle")
-            ? net::ParseOracleSpec(flags.GetString("oracle", "dense")).backend
-            : net::ParseOracleBackend(flags.GetString("distances", "dense")));
+        net::ParseOracleSpec(flags.GetString("oracle", "dense")).backend);
     if (command == "generate") return CmdGenerate(flags);
     if (command == "place") return CmdPlace(flags);
     if (command == "assign") return CmdAssign(flags);
