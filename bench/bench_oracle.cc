@@ -30,10 +30,10 @@
 //      under 10% of dense (and under --rss-budget-mb when given).
 //   4. tiled — the same cloud solved twice at the largest client scale
 //      (--tiled-servers servers; 0 = auto: 1000 at the 1M committed
-//      scale, 64 otherwise): once streaming the client block through
-//      core::OracleTileView (never materializing |C|x|S|) and once with
-//      the materialized block, plus an unpruned streamed control that
-//      certifies bound pruning as a pure accelerator (identical
+//      scale, 64 otherwise): once streaming the client block through a
+//      factorized core::ClientBlockView (never materializing |C|x|S|)
+//      and once with the materialized block, plus an unpruned streamed
+//      control that certifies bound pruning as a pure accelerator (identical
 //      assignment, bitwise objective, tiles_pruned > 0, prune_speedup
 //      reported). The assignments must be identical; the report records
 //      the runtime ratio, the tiled stage's peak RSS, and the block

@@ -8,9 +8,10 @@
 # finally the fault-tolerance suite (`resilience` label: fault plans,
 # repair solver, resilient sessions, malformed-corpus loaders) and the
 # distance-oracle suite (`oracle` label: lazy-row bit parity, LRU cache,
-# streaming clouds, concurrent queries) again under ThreadSanitizer and
-# AddressSanitizer+UBSan. A bench_oracle smoke proves a 100k-client solve
-# through the rows backend stays inside a hard RSS budget, and a
+# streaming clouds, concurrent queries, the client-block view, greedy and
+# the lower bounds) again under ThreadSanitizer and AddressSanitizer+UBSan.
+# A bench_oracle smoke proves a 100k-client solve through the rows backend
+# stays inside a hard RSS budget, and a
 # filter-and-refine smoke proves bound pruning on the landmark backend
 # changes nothing but the wall clock (objective stable, tiles pruned).
 # A churn control-plane smoke re-optimizes 10k clients across 50 churn

@@ -75,7 +75,7 @@ ArgResult ArgMaxPlusFirst(const double* row, const double* far, std::size_t n,
 /// Identical pattern in every backend. Feeds MeanInteractionPathLength.
 double DotProduct(const double* a, const double* b, std::size_t n);
 
-/// Broadcast-add, the tile-synthesis kernel of core::OracleTileView:
+/// Broadcast-add, the tile-synthesis kernel of core::ClientBlockView:
 /// out[i] = add + row[i] for i in [0, n) — one attached-node server row
 /// streamed with the client's access delay broadcast across the lanes.
 /// A single rounded add per lane in the fixed operand order add + row[i]
@@ -83,7 +83,7 @@ double DotProduct(const double* a, const double* b, std::size_t n);
 /// geometry and prefetch depth synthesizes identical bits.
 void BroadcastAdd(double* out, const double* row, double add, std::size_t n);
 
-/// Indexed gather-add, the column paths of core::OracleTileView:
+/// Indexed gather-add, the column paths of core::ClientBlockView:
 ///   ids == nullptr: out[i] = access[i] + col[rows[i]]            (FillColumn)
 ///   ids != nullptr: out[i] = access[ids[i]] + col[rows[ids[i]]]  (GatherColumn)
 /// access may be null, in which case the add is dropped entirely (a

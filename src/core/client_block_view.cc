@@ -16,7 +16,7 @@
 
 namespace diaca::core {
 
-ClientBlockView::ClientBlockView(std::int32_t num_clients,
+ClientBlockView::ClientBlockView(FactoryOnly, std::int32_t num_clients,
                                  std::int32_t num_servers,
                                  const TileOptions& tile)
     : num_clients_(num_clients),
@@ -28,39 +28,189 @@ ClientBlockView::ClientBlockView(std::int32_t num_clients,
   DIACA_CHECK_MSG(num_servers > 0, "client block needs at least one server");
 }
 
+std::shared_ptr<ClientBlockView> ClientBlockView::FromBlock(
+    std::int32_t num_clients, std::int32_t num_servers,
+    std::vector<double> padded_block) {
+  auto view = std::make_shared<ClientBlockView>(FactoryOnly{}, num_clients,
+                                                num_servers, TileOptions{});
+  const std::size_t expected =
+      static_cast<std::size_t>(num_clients) * view->server_stride_;
+  DIACA_CHECK_MSG(padded_block.size() == expected,
+                  "padded block is " << padded_block.size()
+                                     << " doubles, expected " << expected);
+  view->rows_ = std::move(padded_block);
+  return view;
+}
+
+std::shared_ptr<ClientBlockView> ClientBlockView::FromOracle(
+    const net::DistanceOracle& oracle,
+    std::span<const net::NodeIndex> server_nodes,
+    std::span<const net::NodeIndex> client_nodes, const TileOptions& tile) {
+  return Build(oracle, server_nodes, client_nodes, {}, tile);
+}
+
+std::shared_ptr<ClientBlockView> ClientBlockView::FromAttachments(
+    const net::DistanceOracle& oracle,
+    std::span<const net::NodeIndex> server_nodes,
+    std::span<const net::NodeIndex> attach, std::span<const double> access_ms,
+    const TileOptions& tile) {
+  DIACA_CHECK_MSG(attach.size() == access_ms.size(),
+                  "attach list has " << attach.size() << " clients but "
+                                     << access_ms.size() << " access delays");
+  return Build(oracle, server_nodes, attach, access_ms, tile);
+}
+
+std::shared_ptr<ClientBlockView> ClientBlockView::Build(
+    const net::DistanceOracle& oracle,
+    std::span<const net::NodeIndex> server_nodes,
+    std::span<const net::NodeIndex> attach_nodes,
+    std::span<const double> access_ms, const TileOptions& tile) {
+  DIACA_OBS_SPAN("core.view.build");
+  const net::NodeIndex n = oracle.size();
+  DIACA_CHECK_MSG(!server_nodes.empty(), "server list must not be empty");
+  DIACA_CHECK_MSG(!attach_nodes.empty(), "client list must not be empty");
+  for (net::NodeIndex s : server_nodes) {
+    DIACA_CHECK_MSG(s >= 0 && s < n,
+                    "server node " << s << " outside substrate of size " << n);
+  }
+  const auto num_clients = static_cast<std::int32_t>(attach_nodes.size());
+  const auto num_servers = static_cast<std::int32_t>(server_nodes.size());
+  auto view = std::make_shared<ClientBlockView>(FactoryOnly{}, num_clients,
+                                                num_servers, tile);
+  const std::size_t stride = view->server_stride_;
+
+  // Distinct attachment nodes in first-appearance order: the synthesized
+  // state scales with the substrate, never with |C|.
+  view->row_of_.resize(attach_nodes.size());
+  std::vector<net::NodeIndex> node_of_row;
+  {
+    std::unordered_map<net::NodeIndex, std::int32_t> row_of;
+    row_of.reserve(static_cast<std::size_t>(n));
+    for (std::size_t c = 0; c < attach_nodes.size(); ++c) {
+      const net::NodeIndex node = attach_nodes[c];
+      DIACA_CHECK_MSG(node >= 0 && node < n, "client node "
+                                                 << node
+                                                 << " outside substrate of size "
+                                                 << n);
+      const auto [it, inserted] = row_of.try_emplace(
+          node, static_cast<std::int32_t>(node_of_row.size()));
+      if (inserted) node_of_row.push_back(node);
+      view->row_of_[c] = it->second;
+    }
+  }
+  view->access_.assign(access_ms.begin(), access_ms.end());
+
+  const std::size_t rows = node_of_row.size();
+  view->rows_.assign(rows * stride, 0.0);
+  view->cols_.assign(static_cast<std::size_t>(num_servers) * rows, 0.0);
+  view->ss_block_.assign(
+      static_cast<std::size_t>(num_servers) * static_cast<std::size_t>(num_servers),
+      0.0);
+
+  // One oracle row per server — the only shortest-path work. Each task
+  // owns its server's column/row slots, so the fan-out is write-disjoint.
+  GlobalPool().ParallelFor(
+      0, num_servers, 1, [&](std::int64_t sb, std::int64_t se) {
+        std::vector<double> row(static_cast<std::size_t>(n));
+        for (std::int64_t s = sb; s < se; ++s) {
+          const auto si = static_cast<std::size_t>(s);
+          oracle.FillRow(server_nodes[si], row);
+          double* col = view->cols_.data() + si * rows;
+          for (std::size_t r = 0; r < rows; ++r) {
+            const double d = row[static_cast<std::size_t>(node_of_row[r])];
+            col[r] = d;
+            view->rows_[r * stride + si] = d;
+          }
+          double* ss = view->ss_block_.data() +
+                       si * static_cast<std::size_t>(num_servers);
+          for (std::int32_t b = 0; b < num_servers; ++b) {
+            ss[static_cast<std::size_t>(b)] =
+                s == b ? 0.0
+                       : row[static_cast<std::size_t>(
+                             server_nodes[static_cast<std::size_t>(b)])];
+          }
+        }
+      });
+
+  // Exact access range per logical tile (the TileBounds sandwich); one
+  // O(|C|) pass, skipped entirely on the no-access (matrix) shape.
+  if (!view->access_.empty()) {
+    const std::size_t total = view->NumTiles();
+    view->tile_access_min_.resize(total);
+    view->tile_access_max_.resize(total);
+    const std::int32_t tile_clients =
+        std::clamp(tile.tile_clients, 1, num_clients);
+    for (std::size_t t = 0; t < total; ++t) {
+      const auto begin =
+          static_cast<std::size_t>(t) * static_cast<std::size_t>(tile_clients);
+      const auto end = std::min(static_cast<std::size_t>(num_clients),
+                                begin + static_cast<std::size_t>(tile_clients));
+      double lo = view->access_[begin];
+      double hi = lo;
+      for (std::size_t c = begin + 1; c < end; ++c) {
+        lo = std::min(lo, view->access_[c]);
+        hi = std::max(hi, view->access_[c]);
+      }
+      view->tile_access_min_[t] = lo;
+      view->tile_access_max_[t] = hi;
+    }
+  }
+  return view;
+}
+
+const double* ClientBlockView::Row(ClientIndex c, double* scratch) const {
+  if (access_.empty()) return rows_.data() + RowIndex(c) * server_stride_;
+  FillRow(c, scratch);
+  return scratch;
+}
+
 void ClientBlockView::FillRow(ClientIndex c, double* out) const {
-  if (raw_block_ != nullptr) {
-    std::memcpy(out,
-                raw_block_ + static_cast<std::size_t>(c) * server_stride_,
-                server_stride_ * sizeof(double));
+  const double* row = rows_.data() + RowIndex(c) * server_stride_;
+  if (access_.empty()) {
+    std::memcpy(out, row, server_stride_ * sizeof(double));
     return;
   }
-  FillRowSlow(c, out);
+  // Broadcast-add over the whole padded row would pollute the pad lanes
+  // (access + 0.0 != 0.0), so the kernel covers the server lanes and the
+  // pads are re-zeroed — they stay inert for max/sum kernels.
+  simd::BroadcastAdd(out, row, access_[static_cast<std::size_t>(c)],
+                     static_cast<std::size_t>(num_servers_));
+  for (std::size_t s = static_cast<std::size_t>(num_servers_);
+       s < server_stride_; ++s) {
+    out[s] = 0.0;
+  }
+}
+
+void ClientBlockView::FillTile(ClientIndex begin, ClientIndex end,
+                               double* out) const {
+  for (ClientIndex c = begin; c < end; ++c) {
+    FillRow(c, out + static_cast<std::size_t>(c - begin) * server_stride_);
+  }
 }
 
 void ClientBlockView::GatherColumn(ServerIndex s, const ClientIndex* ids,
                                    std::size_t count, double* out) const {
-  if (raw_block_ != nullptr) {
+  if (const double* raw = raw_block()) {
     for (std::size_t i = 0; i < count; ++i) {
-      out[i] = raw_block_[static_cast<std::size_t>(ids[i]) * server_stride_ +
-                          static_cast<std::size_t>(s)];
+      out[i] = raw[static_cast<std::size_t>(ids[i]) * server_stride_ +
+                   static_cast<std::size_t>(s)];
     }
   } else {
-    GatherColumnSlow(s, ids, count, out);
+    simd::GatherPlus(out, Column(s), row_of_.data(), Access(), ids, count);
   }
   columns_gathered_.fetch_add(1, std::memory_order_relaxed);
 }
 
 void ClientBlockView::FillColumn(ServerIndex s, double* out) const {
-  if (raw_block_ != nullptr) {
-    const double* p = raw_block_ + static_cast<std::size_t>(s);
+  if (const double* raw = raw_block()) {
+    const double* p = raw + static_cast<std::size_t>(s);
     for (std::int32_t c = 0; c < num_clients_; ++c) {
       out[c] = p[static_cast<std::size_t>(c) * server_stride_];
     }
-    columns_gathered_.fetch_add(1, std::memory_order_relaxed);
-    return;
+  } else {
+    simd::GatherPlus(out, Column(s), row_of_.data(), Access(), nullptr,
+                     static_cast<std::size_t>(num_clients_));
   }
-  FillColumnSlow(s, out);
   columns_gathered_.fetch_add(1, std::memory_order_relaxed);
 }
 
@@ -82,9 +232,9 @@ std::size_t ClientBlockView::NumTiles() const {
 
 void ClientBlockView::ForEachTile(
     const std::function<void(const ClientTile&)>& fn) const {
-  if (raw_block_ != nullptr) {
+  if (const double* raw = raw_block()) {
     // Zero-copy: the resident block IS the one tile.
-    fn(ClientTile{0, num_clients_, raw_block_, server_stride_});
+    fn(ClientTile{0, num_clients_, raw, server_stride_});
     return;
   }
   DIACA_OBS_SPAN("core.view.tiles");
@@ -111,7 +261,7 @@ void ClientBlockView::ForEachTile(
     const auto begin = static_cast<std::int32_t>(
         t * static_cast<std::int64_t>(tile_clients));
     const std::int32_t end = std::min(num_clients_, begin + tile_clients);
-    FillTileSlow(begin, end, buf);
+    FillTile(begin, end, buf);
     tiles_loaded_.fetch_add(1, std::memory_order_relaxed);
     return ClientTile{begin, end, buf, server_stride_};
   };
@@ -161,7 +311,7 @@ void ClientBlockView::ForEachTile(
   const std::int32_t tile_clients =
       std::clamp(tile_.tile_clients, 1, num_clients_);
   const auto total = static_cast<std::int64_t>(NumTiles());
-  if (raw_block_ != nullptr) {
+  if (const double* raw = raw_block()) {
     // Zero-copy partition of the resident block; each slot owns its rows.
     GlobalPool().ParallelFor(0, total, 1, [&](std::int64_t tb,
                                               std::int64_t te) {
@@ -170,8 +320,7 @@ void ClientBlockView::ForEachTile(
             t * static_cast<std::int64_t>(tile_clients));
         const std::int32_t end = std::min(num_clients_, begin + tile_clients);
         fn(ClientTile{begin, end,
-                      raw_block_ +
-                          static_cast<std::size_t>(begin) * server_stride_,
+                      raw + static_cast<std::size_t>(begin) * server_stride_,
                       server_stride_},
            static_cast<std::size_t>(t));
       }
@@ -195,7 +344,7 @@ void ClientBlockView::ForEachTile(
       const auto begin = static_cast<std::int32_t>(
           t * static_cast<std::int64_t>(tile_clients));
       const std::int32_t end = std::min(num_clients_, begin + tile_clients);
-      FillTileSlow(begin, end, buf.data());
+      FillTile(begin, end, buf.data());
       tiles_loaded_.fetch_add(1, std::memory_order_relaxed);
       fn(ClientTile{begin, end, buf.data(), server_stride_},
          static_cast<std::size_t>(t));
@@ -206,7 +355,7 @@ void ClientBlockView::ForEachTile(
 
 void ClientBlockView::CountPrunedTiles(std::int64_t n) const {
   // Resident data: nothing was avoided.
-  if (raw_block_ != nullptr) return;
+  if (raw_block() != nullptr) return;
   tiles_pruned_.fetch_add(n, std::memory_order_relaxed);
 }
 
@@ -215,7 +364,7 @@ void ClientBlockView::ForEachTileBounded(
     const std::function<void(const ClientTile&)>& fn) const {
   // Nothing to avoid on a resident block, and pruning-off must do the
   // full exact work: both ignore pred entirely.
-  if (raw_block_ != nullptr || !tile_.bound_pruning) {
+  if (raw_block() != nullptr || !tile_.bound_pruning) {
     ForEachTile(fn);
     return;
   }
@@ -237,7 +386,7 @@ void ClientBlockView::ForEachTileBounded(
       BumpTileBytesPeak(
           static_cast<std::int64_t>(tile_doubles * sizeof(double)));
     }
-    FillTileSlow(tb.begin, tb.end, buf.data());
+    FillTile(tb.begin, tb.end, buf.data());
     tiles_loaded_.fetch_add(1, std::memory_order_relaxed);
     fn(ClientTile{tb.begin, tb.end, buf.data(), server_stride_});
   }
@@ -245,45 +394,27 @@ void ClientBlockView::ForEachTileBounded(
 
 ClientBlockView::ColumnAggregate ClientBlockView::ColumnBounds(
     ServerIndex s) const {
+  return AllColumnBounds()[static_cast<std::size_t>(s)];
+}
+
+const std::vector<ClientBlockView::ColumnAggregate>&
+ClientBlockView::AllColumnBounds() const {
+  // Exact min/max per column over the stored rows. The access leg is not
+  // folded in: TileBounds carries it, composed by one monotone IEEE add.
   std::call_once(col_bounds_once_, [&] {
-    col_bounds_.resize(static_cast<std::size_t>(num_servers_));
-    for (ServerIndex i = 0; i < num_servers_; ++i) {
-      col_bounds_[static_cast<std::size_t>(i)] = ColumnBoundsSlow(i);
+    const auto servers = static_cast<std::size_t>(num_servers_);
+    col_bounds_.assign(servers,
+                       {std::numeric_limits<double>::infinity(),
+                        -std::numeric_limits<double>::infinity()});
+    for (std::size_t r = 0; r < NumRows(); ++r) {
+      const double* row = rows_.data() + r * server_stride_;
+      for (std::size_t i = 0; i < servers; ++i) {
+        col_bounds_[i].lower = std::min(col_bounds_[i].lower, row[i]);
+        col_bounds_[i].upper = std::max(col_bounds_[i].upper, row[i]);
+      }
     }
   });
-  return col_bounds_[static_cast<std::size_t>(s)];
-}
-
-ClientBlockView::ColumnAggregate ClientBlockView::ColumnBoundsSlow(
-    ServerIndex s) const {
-  // No backend structure: one exact column pass. Backends with an access
-  // leg override (here the aggregates would double-count it against
-  // TileAccessRange); the default's TileAccessRange is {0, 0}, so
-  // fl(0 + lower) == lower keeps the sandwich exact.
-  thread_local std::vector<double> scratch;
-  scratch.resize(static_cast<std::size_t>(num_clients_));
-  if (raw_block_ != nullptr) {
-    const double* p = raw_block_ + static_cast<std::size_t>(s);
-    for (std::int32_t c = 0; c < num_clients_; ++c) {
-      scratch[static_cast<std::size_t>(c)] =
-          p[static_cast<std::size_t>(c) * server_stride_];
-    }
-  } else {
-    FillColumnSlow(s, scratch.data());
-  }
-  ColumnAggregate agg{scratch[0], scratch[0]};
-  for (std::int32_t c = 1; c < num_clients_; ++c) {
-    const double d = scratch[static_cast<std::size_t>(c)];
-    agg.lower = std::min(agg.lower, d);
-    agg.upper = std::max(agg.upper, d);
-  }
-  return agg;
-}
-
-void ClientBlockView::TileAccessRange(std::size_t /*t*/, double* lo,
-                                      double* hi) const {
-  *lo = 0.0;
-  *hi = 0.0;
+  return col_bounds_;
 }
 
 TileBounds ClientBlockView::TileBoundsOf(std::size_t t) const {
@@ -292,412 +423,52 @@ TileBounds ClientBlockView::TileBoundsOf(std::size_t t) const {
   TileBounds tb;
   tb.begin = static_cast<ClientIndex>(t * static_cast<std::size_t>(tile_clients));
   tb.end = std::min(num_clients_, tb.begin + tile_clients);
-  TileAccessRange(t, &tb.access_min, &tb.access_max);
+  if (!tile_access_min_.empty()) {
+    tb.access_min = tile_access_min_[t];
+    tb.access_max = tile_access_max_[t];
+  }
   return tb;
 }
 
 void ClientBlockView::GatherAssigned(const ServerIndex* assign,
                                      double* out) const {
-  GatherAssignedSlow(assign, out);
-  columns_gathered_.fetch_add(1, std::memory_order_relaxed);
-}
-
-void ClientBlockView::GatherAssignedSlow(const ServerIndex* assign,
-                                         double* out) const {
   for (std::int32_t c = 0; c < num_clients_; ++c) {
     const ServerIndex s = assign[c];
     out[c] = s >= 0 ? cs(c, s) : -1.0;
   }
+  columns_gathered_.fetch_add(1, std::memory_order_relaxed);
 }
 
 void ClientBlockView::FoldAssignedMax(const ServerIndex* assign,
                                       double* far) const {
-  if (raw_block_ != nullptr) {
-    simd::MaxAbsorbScatter(far, assign, raw_block_, server_stride_, 0,
-                           num_clients_);
+  if (const double* raw = raw_block()) {
+    // Resident data: nothing to avoid, one scatter pass.
+    simd::MaxAbsorbScatter(far, assign, raw, server_stride_, 0, num_clients_);
     return;
   }
-  FoldAssignedMaxSlow(assign, far);
-}
-
-void ClientBlockView::FoldAssignedMaxSlow(const ServerIndex* assign,
-                                          double* far) const {
-  // Unpruned sparse fold: one exact gather of the assigned diagonal, then
-  // the serial ascending max pass (exact under any association, but kept
-  // serial and ascending so the fold is order-identical to the scatter).
-  thread_local std::vector<double> diag;
-  diag.resize(static_cast<std::size_t>(num_clients_));
-  GatherAssignedSlow(assign, diag.data());
-  for (std::int32_t c = 0; c < num_clients_; ++c) {
-    const ServerIndex s = assign[c];
-    if (s < 0) continue;
-    far[s] = std::max(far[s], diag[static_cast<std::size_t>(c)]);
-  }
-}
-
-void ClientBlockView::FillNearest(ServerIndex* server_out,
-                                  double* dist_out) const {
-  FillNearestSlow(server_out, dist_out);
-  columns_gathered_.fetch_add(1, std::memory_order_relaxed);
-}
-
-void ClientBlockView::FillNearestSlow(ServerIndex* server_out,
-                                      double* dist_out) const {
-  const auto scan = [&](const double* row, std::int32_t c) {
-    const simd::ArgResult r =
-        simd::ArgMinFirst(row, static_cast<std::size_t>(num_servers_));
-    server_out[c] = static_cast<ServerIndex>(r.index);
-    dist_out[c] = r.value;
-  };
-  if (raw_block_ != nullptr) {
-    for (std::int32_t c = 0; c < num_clients_; ++c) {
-      scan(raw_block_ + static_cast<std::size_t>(c) * server_stride_, c);
-    }
-    return;
-  }
-  thread_local std::vector<double> row;
-  row.resize(server_stride_);
-  for (std::int32_t c = 0; c < num_clients_; ++c) {
-    FillRowSlow(c, row.data());
-    scan(row.data(), c);
-  }
-}
-
-std::vector<double> ClientBlockView::MaterializeBlock() const {
-  std::vector<double> block(static_cast<std::size_t>(num_clients_) *
-                            server_stride_);
-  if (raw_block_ != nullptr) {
-    std::memcpy(block.data(), raw_block_, block.size() * sizeof(double));
-    return block;
-  }
-  ForEachTile([&](const ClientTile& tile) {
-    std::memcpy(block.data() +
-                    static_cast<std::size_t>(tile.begin) * server_stride_,
-                tile.data,
-                static_cast<std::size_t>(tile.end - tile.begin) *
-                    server_stride_ * sizeof(double));
-  });
-  return block;
-}
-
-ClientBlockStats ClientBlockView::stats() const {
-  ClientBlockStats s;
-  s.tiles_loaded = tiles_loaded_.load(std::memory_order_relaxed);
-  s.columns_gathered = columns_gathered_.load(std::memory_order_relaxed);
-  s.tile_bytes_peak = tile_bytes_peak_.load(std::memory_order_relaxed);
-  s.tiles_pruned = tiles_pruned_.load(std::memory_order_relaxed);
-  return s;
-}
-
-// ---------------------------------------------------------------------------
-// MaterializedView
-
-MaterializedView::MaterializedView(std::int32_t num_clients,
-                                   std::int32_t num_servers,
-                                   std::vector<double> padded_block)
-    : ClientBlockView(num_clients, num_servers, TileOptions{}),
-      block_(std::move(padded_block)) {
-  DIACA_CHECK_MSG(
-      block_.size() == static_cast<std::size_t>(num_clients) * server_stride_,
-      "padded block is " << block_.size() << " doubles, expected "
-                         << static_cast<std::size_t>(num_clients) *
-                                server_stride_);
-  raw_block_ = block_.data();
-}
-
-// The Slow hooks are unreachable while raw_block_ is set, but they stay
-// correct implementations rather than traps.
-double MaterializedView::CsSlow(ClientIndex c, ServerIndex s) const {
-  return block_[static_cast<std::size_t>(c) * server_stride_ +
-                static_cast<std::size_t>(s)];
-}
-
-void MaterializedView::FillRowSlow(ClientIndex c, double* out) const {
-  std::memcpy(out, block_.data() + static_cast<std::size_t>(c) * server_stride_,
-              server_stride_ * sizeof(double));
-}
-
-void MaterializedView::GatherColumnSlow(ServerIndex s, const ClientIndex* ids,
-                                        std::size_t count, double* out) const {
-  for (std::size_t i = 0; i < count; ++i) {
-    out[i] = block_[static_cast<std::size_t>(ids[i]) * server_stride_ +
-                    static_cast<std::size_t>(s)];
-  }
-}
-
-void MaterializedView::FillColumnSlow(ServerIndex s, double* out) const {
-  const double* p = block_.data() + static_cast<std::size_t>(s);
-  for (std::int32_t c = 0; c < num_clients_; ++c) {
-    out[c] = p[static_cast<std::size_t>(c) * server_stride_];
-  }
-}
-
-void MaterializedView::FillTileSlow(ClientIndex begin, ClientIndex end,
-                                    double* out) const {
-  std::memcpy(out, block_.data() + static_cast<std::size_t>(begin) * server_stride_,
-              static_cast<std::size_t>(end - begin) * server_stride_ *
-                  sizeof(double));
-}
-
-// ---------------------------------------------------------------------------
-// OracleTileView
-
-OracleTileView::OracleTileView(std::int32_t num_clients,
-                               std::int32_t num_servers,
-                               const TileOptions& tile)
-    : ClientBlockView(num_clients, num_servers, tile) {}
-
-std::shared_ptr<OracleTileView> OracleTileView::FromOracle(
-    const net::DistanceOracle& oracle,
-    std::span<const net::NodeIndex> server_nodes,
-    std::span<const net::NodeIndex> client_nodes, const TileOptions& tile) {
-  return Build(oracle, server_nodes, client_nodes, {}, tile);
-}
-
-std::shared_ptr<OracleTileView> OracleTileView::FromAttachments(
-    const net::DistanceOracle& oracle,
-    std::span<const net::NodeIndex> server_nodes,
-    std::span<const net::NodeIndex> attach, std::span<const double> access_ms,
-    const TileOptions& tile) {
-  DIACA_CHECK_MSG(attach.size() == access_ms.size(),
-                  "attach list has " << attach.size() << " clients but "
-                                     << access_ms.size() << " access delays");
-  return Build(oracle, server_nodes, attach, access_ms, tile);
-}
-
-std::shared_ptr<OracleTileView> OracleTileView::Build(
-    const net::DistanceOracle& oracle,
-    std::span<const net::NodeIndex> server_nodes,
-    std::span<const net::NodeIndex> attach_nodes,
-    std::span<const double> access_ms, const TileOptions& tile) {
-  DIACA_OBS_SPAN("core.view.build");
-  const net::NodeIndex n = oracle.size();
-  DIACA_CHECK_MSG(!server_nodes.empty(), "server list must not be empty");
-  DIACA_CHECK_MSG(!attach_nodes.empty(), "client list must not be empty");
-  for (net::NodeIndex s : server_nodes) {
-    DIACA_CHECK_MSG(s >= 0 && s < n,
-                    "server node " << s << " outside substrate of size " << n);
-  }
-  const auto num_clients = static_cast<std::int32_t>(attach_nodes.size());
-  const auto num_servers = static_cast<std::int32_t>(server_nodes.size());
-  auto view = std::shared_ptr<OracleTileView>(
-      new OracleTileView(num_clients, num_servers, tile));
-  const std::size_t stride = view->server_stride_;
-
-  // Distinct attachment nodes in first-appearance order: the synthesized
-  // state scales with the substrate, never with |C|.
-  view->base_row_.resize(attach_nodes.size());
-  std::vector<net::NodeIndex> node_of_row;
-  {
-    std::unordered_map<net::NodeIndex, std::int32_t> row_of;
-    row_of.reserve(static_cast<std::size_t>(n));
-    for (std::size_t c = 0; c < attach_nodes.size(); ++c) {
-      const net::NodeIndex node = attach_nodes[c];
-      DIACA_CHECK_MSG(node >= 0 && node < n, "client node "
-                                                 << node
-                                                 << " outside substrate of size "
-                                                 << n);
-      const auto [it, inserted] = row_of.try_emplace(
-          node, static_cast<std::int32_t>(node_of_row.size()));
-      if (inserted) node_of_row.push_back(node);
-      view->base_row_[c] = it->second;
-    }
-  }
-  view->num_rows_ = static_cast<std::int32_t>(node_of_row.size());
-  view->access_.assign(access_ms.begin(), access_ms.end());
-
-  const auto rows = static_cast<std::size_t>(view->num_rows_);
-  view->node_rows_.assign(rows * stride, 0.0);
-  view->server_cols_.assign(static_cast<std::size_t>(num_servers) * rows, 0.0);
-  view->col_min_.assign(static_cast<std::size_t>(num_servers), 0.0);
-  view->col_max_.assign(static_cast<std::size_t>(num_servers), 0.0);
-  view->ss_block_.assign(
-      static_cast<std::size_t>(num_servers) * static_cast<std::size_t>(num_servers),
-      0.0);
-
-  // One oracle row per server — the only shortest-path work. Each task
-  // owns its server's column/row slots, so the fan-out is write-disjoint.
-  GlobalPool().ParallelFor(
-      0, num_servers, 1, [&](std::int64_t sb, std::int64_t se) {
-        std::vector<double> row(static_cast<std::size_t>(n));
-        for (std::int64_t s = sb; s < se; ++s) {
-          const auto si = static_cast<std::size_t>(s);
-          oracle.FillRow(server_nodes[si], row);
-          double* col = view->server_cols_.data() + si * rows;
-          double cmin = std::numeric_limits<double>::infinity();
-          double cmax = -std::numeric_limits<double>::infinity();
-          for (std::size_t r = 0; r < rows; ++r) {
-            const double d = row[static_cast<std::size_t>(node_of_row[r])];
-            col[r] = d;
-            view->node_rows_[r * stride + si] = d;
-            cmin = std::min(cmin, d);
-            cmax = std::max(cmax, d);
-          }
-          view->col_min_[si] = cmin;
-          view->col_max_[si] = cmax;
-          double* ss = view->ss_block_.data() +
-                       si * static_cast<std::size_t>(num_servers);
-          for (std::int32_t b = 0; b < num_servers; ++b) {
-            ss[static_cast<std::size_t>(b)] =
-                s == b ? 0.0
-                       : row[static_cast<std::size_t>(
-                             server_nodes[static_cast<std::size_t>(b)])];
-          }
-        }
-      });
-
-  // Exact access range per logical tile (the TileBounds sandwich); one
-  // O(|C|) pass, skipped entirely on the no-access (matrix) shape.
-  if (!view->access_.empty()) {
-    const std::size_t total = view->NumTiles();
-    view->tile_access_min_.resize(total);
-    view->tile_access_max_.resize(total);
-    const std::int32_t tile_clients =
-        std::clamp(tile.tile_clients, 1, num_clients);
-    for (std::size_t t = 0; t < total; ++t) {
-      const auto begin =
-          static_cast<std::size_t>(t) * static_cast<std::size_t>(tile_clients);
-      const auto end = std::min(static_cast<std::size_t>(num_clients),
-                                begin + static_cast<std::size_t>(tile_clients));
-      double lo = view->access_[begin];
-      double hi = lo;
-      for (std::size_t c = begin + 1; c < end; ++c) {
-        lo = std::min(lo, view->access_[c]);
-        hi = std::max(hi, view->access_[c]);
-      }
-      view->tile_access_min_[t] = lo;
-      view->tile_access_max_[t] = hi;
-    }
-  }
-  return view;
-}
-
-double OracleTileView::CsSlow(ClientIndex c, ServerIndex s) const {
-  const double base =
-      server_cols_[static_cast<std::size_t>(s) *
-                       static_cast<std::size_t>(num_rows_) +
-                   static_cast<std::size_t>(base_row_[static_cast<std::size_t>(c)])];
-  // Same operand order as the materialized build: access + substrate leg.
-  return access_.empty() ? base
-                         : access_[static_cast<std::size_t>(c)] + base;
-}
-
-void OracleTileView::FillRowSlow(ClientIndex c, double* out) const {
-  const double* base =
-      node_rows_.data() +
-      static_cast<std::size_t>(base_row_[static_cast<std::size_t>(c)]) *
-          server_stride_;
-  if (access_.empty()) {
-    std::memcpy(out, base, server_stride_ * sizeof(double));
-    return;
-  }
-  // Broadcast-add over the whole padded row would pollute the pad lanes
-  // (access + 0.0 != 0.0), so the kernel covers the server lanes and the
-  // pads are re-zeroed — they stay inert for max/sum kernels.
-  simd::BroadcastAdd(out, base, access_[static_cast<std::size_t>(c)],
-                     static_cast<std::size_t>(num_servers_));
-  for (std::size_t s = static_cast<std::size_t>(num_servers_);
-       s < server_stride_; ++s) {
-    out[s] = 0.0;
-  }
-}
-
-void OracleTileView::GatherColumnSlow(ServerIndex s, const ClientIndex* ids,
-                                      std::size_t count, double* out) const {
-  simd::GatherPlus(out,
-                   server_cols_.data() + static_cast<std::size_t>(s) *
-                                             static_cast<std::size_t>(num_rows_),
-                   base_row_.data(),
-                   access_.empty() ? nullptr : access_.data(), ids, count);
-}
-
-void OracleTileView::FillColumnSlow(ServerIndex s, double* out) const {
-  simd::GatherPlus(out,
-                   server_cols_.data() + static_cast<std::size_t>(s) *
-                                             static_cast<std::size_t>(num_rows_),
-                   base_row_.data(),
-                   access_.empty() ? nullptr : access_.data(), nullptr,
-                   static_cast<std::size_t>(num_clients_));
-}
-
-void OracleTileView::FillTileSlow(ClientIndex begin, ClientIndex end,
-                                  double* out) const {
-  for (ClientIndex c = begin; c < end; ++c) {
-    FillRowSlow(c, out + static_cast<std::size_t>(c - begin) * server_stride_);
-  }
-}
-
-ClientBlockView::ColumnAggregate OracleTileView::ColumnBoundsSlow(
-    ServerIndex s) const {
-  // Exact substrate-leg aggregates from the build; composed with the tile
-  // access range by one monotone IEEE add each.
-  return ColumnAggregate{col_min_[static_cast<std::size_t>(s)],
-                         col_max_[static_cast<std::size_t>(s)]};
-}
-
-void OracleTileView::TileAccessRange(std::size_t t, double* lo,
-                                     double* hi) const {
-  if (tile_access_min_.empty()) {
-    *lo = 0.0;
-    *hi = 0.0;
-    return;
-  }
-  *lo = tile_access_min_[t];
-  *hi = tile_access_max_[t];
-}
-
-void OracleTileView::GatherAssignedSlow(const ServerIndex* assign,
-                                        double* out) const {
-  const auto rows = static_cast<std::size_t>(num_rows_);
-  const double* cols = server_cols_.data();
-  const std::int32_t* base = base_row_.data();
-  if (access_.empty()) {
-    for (std::int32_t c = 0; c < num_clients_; ++c) {
-      const ServerIndex s = assign[c];
-      out[c] = s >= 0 ? cols[static_cast<std::size_t>(s) * rows +
-                             static_cast<std::size_t>(base[c])]
-                      : -1.0;
-    }
-    return;
-  }
-  for (std::int32_t c = 0; c < num_clients_; ++c) {
-    const ServerIndex s = assign[c];
-    out[c] = s >= 0 ? access_[static_cast<std::size_t>(c)] +
-                          cols[static_cast<std::size_t>(s) * rows +
-                               static_cast<std::size_t>(base[c])]
-                    : -1.0;
-  }
-}
-
-void OracleTileView::FoldAssignedMaxSlow(const ServerIndex* assign,
-                                         double* far) const {
   // Bounds-first fold over the logical tile grid. A tile is skippable
   // when every assigned client already satisfies
-  //   fl(access(c) + col_max[a_c]) <= far[a_c]:
+  //   fl(access(c) + ColumnBounds(a_c).upper) <= far[a_c]:
   // then d(c, a_c) <= that bound <= far[a_c], and since far only grows
   // during the fold the max is a no-op for the whole tile — skipping is
   // bit-identical. The test touches only cache-resident arrays (access,
-  // assign, col_max, far); surviving tiles refine through the direct
-  // assigned gather, so no tile is ever synthesized here.
+  // assign, column bounds, far); surviving tiles refine through direct
+  // cs() loads, so no tile is ever synthesized here.
   const std::int32_t tile_clients =
       std::clamp(tile_.tile_clients, 1, num_clients_);
-  const auto rows = static_cast<std::size_t>(num_rows_);
-  const double* cols = server_cols_.data();
-  const std::int32_t* base = base_row_.data();
-  const bool prune = bound_pruning();
+  const std::vector<ColumnAggregate>& bounds = AllColumnBounds();
   std::int64_t pruned = 0;
   for (std::int32_t begin = 0; begin < num_clients_; begin += tile_clients) {
     const std::int32_t end = std::min(num_clients_, begin + tile_clients);
-    if (prune) {
+    if (tile_.bound_pruning) {
       bool skip = true;
       for (std::int32_t c = begin; c < end; ++c) {
         const ServerIndex s = assign[c];
         if (s < 0) continue;
-        const double hi =
-            access_.empty()
-                ? col_max_[static_cast<std::size_t>(s)]
-                : access_[static_cast<std::size_t>(c)] +
-                      col_max_[static_cast<std::size_t>(s)];
+        const double upper = bounds[static_cast<std::size_t>(s)].upper;
+        const double hi = access_.empty()
+                              ? upper
+                              : access_[static_cast<std::size_t>(c)] + upper;
         if (!(hi <= far[s])) {
           skip = false;
           break;
@@ -710,27 +481,22 @@ void OracleTileView::FoldAssignedMaxSlow(const ServerIndex* assign,
     }
     for (std::int32_t c = begin; c < end; ++c) {
       const ServerIndex s = assign[c];
-      if (s < 0) continue;
-      const double leg = cols[static_cast<std::size_t>(s) * rows +
-                              static_cast<std::size_t>(base[c])];
-      const double d =
-          access_.empty() ? leg : access_[static_cast<std::size_t>(c)] + leg;
-      far[s] = std::max(far[s], d);
+      if (s >= 0) far[s] = std::max(far[s], cs(c, s));
     }
   }
   if (pruned > 0) CountPrunedTiles(pruned);
 }
 
-void OracleTileView::BuildNearestIndex() const {
-  // Per attachment node: exact column minimum m_r, its first server, and
-  // the ascending candidate list of servers within the ulp-collapse
-  // window. Soundness of the window: if fl(a + col_s) == fl(a + m_r) for
-  // some access a in [0, amax], both sums round to the same v, so
+void ClientBlockView::BuildNearestIndex() const {
+  // Per stored row: exact minimum m_r, its first server, and the
+  // ascending candidate list of servers within the ulp-collapse window.
+  // Soundness of the window: if fl(a + col_s) == fl(a + m_r) for some
+  // access a in [0, amax], both sums round to the same v, so
   // col_s - m_r <= ulp(v) <= ulp(fl(amax + m_r)) (fl and ulp are
   // monotone for non-negative doubles). W doubles that bound and the
   // threshold is widened one more ulp against the rounding of m_r + W —
   // over-inclusion only costs refine time, never correctness.
-  const auto rows = static_cast<std::size_t>(num_rows_);
+  const std::size_t rows = NumRows();
   const auto servers = static_cast<std::size_t>(num_servers_);
   constexpr double kInf = std::numeric_limits<double>::infinity();
   node_min_.resize(rows);
@@ -740,7 +506,7 @@ void OracleTileView::BuildNearestIndex() const {
   double amax = 0.0;
   for (const double a : access_) amax = std::max(amax, a);
   for (std::size_t r = 0; r < rows; ++r) {
-    const double* row = node_rows_.data() + r * server_stride_;
+    const double* row = rows_.data() + r * server_stride_;
     const simd::ArgResult m = simd::ArgMinFirst(row, servers);
     node_min_[r] = m.value;
     node_argmin_[r] = static_cast<ServerIndex>(m.index);
@@ -758,22 +524,22 @@ void OracleTileView::BuildNearestIndex() const {
   }
 }
 
-void OracleTileView::FillNearestSlow(ServerIndex* server_out,
-                                     double* dist_out) const {
+void ClientBlockView::FillNearest(ServerIndex* server_out,
+                                  double* dist_out) const {
   std::call_once(nearest_once_, [&] { BuildNearestIndex(); });
-  const std::int32_t* base = base_row_.data();
+  columns_gathered_.fetch_add(1, std::memory_order_relaxed);
   if (access_.empty()) {
-    // No per-client rounding: every client on node r shares its exact
-    // column minimum and first-index winner.
+    // No per-client rounding: every client on row r shares its exact
+    // minimum and first-index winner.
     for (std::int32_t c = 0; c < num_clients_; ++c) {
-      const auto r = static_cast<std::size_t>(base[c]);
+      const std::size_t r = RowIndex(c);
       server_out[c] = node_argmin_[r];
       dist_out[c] = node_min_[r];
     }
     return;
   }
   for (std::int32_t c = 0; c < num_clients_; ++c) {
-    const auto r = static_cast<std::size_t>(base[c]);
+    const std::size_t r = RowIndex(c);
     const double a = access_[static_cast<std::size_t>(c)];
     const double dmin = a + node_min_[r];
     const std::int32_t b = cand_begin_[r];
@@ -782,7 +548,7 @@ void OracleTileView::FillNearestSlow(ServerIndex* server_out,
     if (e - b > 1) {
       // Lowest-index server whose rounded sum collapses onto the minimum;
       // the argmin itself is always a candidate, so the scan never fails.
-      const double* row = node_rows_.data() + r * server_stride_;
+      const double* row = rows_.data() + r * server_stride_;
       for (std::int32_t i = b; i < e; ++i) {
         const ServerIndex s = cand_list_[static_cast<std::size_t>(i)];
         if (a + row[static_cast<std::size_t>(s)] == dmin) {
@@ -794,6 +560,28 @@ void OracleTileView::FillNearestSlow(ServerIndex* server_out,
     server_out[c] = winner;
     dist_out[c] = dmin;
   }
+}
+
+std::vector<double> ClientBlockView::MaterializeBlock() const {
+  std::vector<double> block(static_cast<std::size_t>(num_clients_) *
+                            server_stride_);
+  ForEachTile([&](const ClientTile& tile) {
+    std::memcpy(block.data() +
+                    static_cast<std::size_t>(tile.begin) * server_stride_,
+                tile.data,
+                static_cast<std::size_t>(tile.end - tile.begin) *
+                    server_stride_ * sizeof(double));
+  });
+  return block;
+}
+
+ClientBlockStats ClientBlockView::stats() const {
+  ClientBlockStats s;
+  s.tiles_loaded = tiles_loaded_.load(std::memory_order_relaxed);
+  s.columns_gathered = columns_gathered_.load(std::memory_order_relaxed);
+  s.tile_bytes_peak = tile_bytes_peak_.load(std::memory_order_relaxed);
+  s.tiles_pruned = tiles_pruned_.load(std::memory_order_relaxed);
+  return s;
 }
 
 }  // namespace diaca::core

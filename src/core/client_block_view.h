@@ -1,38 +1,40 @@
-// Tiled client-block view: the solver-facing contract for the |C| x |S|
+// The client-block view: the solver-facing contract for the |C| x |S|
 // client-to-server latency block.
 //
-// PR 6 broke the O(n^2) substrate wall with net::DistanceOracle, but
-// Problem still materialized the full client block, so at 1M clients x
-// 1k servers the assignment step itself retained the ~8 GB the oracle
-// was built to avoid. ClientBlockView redesigns that contract: solvers no
-// longer assume a resident block; they consume the data through
+// Solvers never assume a resident block; they consume it through
 //
 //   * ForEachTile(fn)        — sequential, ascending tiles of padded
 //                              client rows (the row-major pass every
 //                              heuristic is built from);
-//   * cs(c, s) / FillRow(c)  — random access for spot lookups and
+//   * cs(c, s) / Row / FillRow — random access for spot lookups and
 //                              row-at-a-time consumers;
 //   * GatherColumn / FillColumn — column access for the server-major
 //                              passes (greedy bucket lists, LFB batch
 //                              scans).
 //
-// Two backends implement it:
+// One concrete type stores the block in factorized form:
 //
-//   * MaterializedView — wraps the padded d_cs block Problem has always
-//     carried. Every accessor resolves to the same loads the solvers used
-//     to issue against Problem::cs_row, so results are bit-identical to
-//     the historical path and ForEachTile emits one zero-copy tile.
-//   * OracleTileView — never holds the block. It retains only the |S|
-//     substrate server rows (gathered once from a net::DistanceOracle,
-//     O((n + |C|) + n * |S|) state, independent of |C| x |S|) and
-//     synthesizes client rows on demand: tiles are generated into a small
-//     reusable buffer pool by the SIMD broadcast-add kernel, and while a
-//     solver scans the current tile up to prefetch_depth later tiles
-//     synthesize on the thread pool. Because every synthesized double is
-//     computed from the same operands the materialized build used
-//     (d(c,s) = access(c) + row_s[attach(c)], a single IEEE addition),
-//     assignments are bit-identical across the two backends at every tile
-//     size, pool size, prefetch depth, and thread count.
+//   d(c, s) = access(c) + rows[row(c)][s]
+//
+// where `rows` holds one padded server-distance row per distinct
+// attachment node and `access` is an optional per-client delay (absent:
+// no addition at all, so the leg's bits pass through unchanged). Three
+// factories fill it:
+//
+//   * FromBlock — a resident padded block: every client is its own row
+//     and there is no access leg. Tiles are zero-copy views of the block.
+//   * FromOracle / FromAttachments — |S| oracle rows gathered once
+//     (O(n * |S|) state, independent of |C| x |S|); client rows are
+//     synthesized on demand into a small reusable tile pool by the SIMD
+//     broadcast-add kernel, with up to prefetch_depth later tiles
+//     synthesizing on the thread pool while a solver scans the current
+//     one. Every synthesized double comes from the same operands a
+//     materialized build uses (access + leg, one IEEE addition), so
+//     results are bit-identical to FromBlock at every tile size, pool
+//     size, prefetch depth and thread count.
+//
+// Whether the block is resident is decided here and nowhere else: solver
+// code is written once against the accessors above.
 //
 // Thread safety: views are shared const (Problem copies alias one view).
 // All accessors are safe to call concurrently; the usage counters are
@@ -73,26 +75,26 @@ struct ClientTile {
 /// Monotonic usage counters, snapshotted by SolverRegistry::Solve into
 /// SolveStats (tiles_loaded / tile_bytes_peak deltas per solve).
 struct ClientBlockStats {
-  /// Tiles synthesized by a lazy backend (0 on MaterializedView: its
+  /// Tiles synthesized from stored rows (0 on a resident block: its
   /// tiles are zero-copy aliases, not loads).
   std::int64_t tiles_loaded = 0;
-  /// Column accesses served (GatherColumn + FillColumn, both backends).
+  /// Column accesses served (GatherColumn + FillColumn).
   std::int64_t columns_gathered = 0;
   /// High-water bytes of live tile-pool buffers across all traversals
-  /// (0 on MaterializedView). The memory the tiling actually costs.
+  /// (0 on a resident block). The memory the tiling actually costs.
   std::int64_t tile_bytes_peak = 0;
   /// Synthesis units a certified bound skipped without touching their
   /// exact values: whole tiles rejected by a ForEachTileBounded /
   /// FoldAssignedMax predicate plus 512-entry units of greedy candidate
-  /// lanes its bucket bounds retired without a gather. Always 0 on
-  /// MaterializedView (its data is resident — nothing is avoided); unlike
+  /// lanes its bucket bounds retired without a gather. Always 0 on a
+  /// resident block (nothing is avoided); unlike
   /// the solver outputs this counter is telemetry, not part of the
   /// bit-determinism contract.
   std::int64_t tiles_pruned = 0;
 };
 
-/// Tile sizing for lazy backends (MaterializedView ignores it for the
-/// sequential traversal: its one tile is the whole block, zero-copy).
+/// Tile sizing for synthesized blocks (a resident block ignores it for
+/// the sequential traversal: its one tile is the whole block, zero-copy).
 struct TileOptions {
   /// Client rows per tile. Clamped to [1, |C|]. The default keeps a tile
   /// around 4 MB at 64 servers — big enough to amortize the per-tile
@@ -133,9 +135,43 @@ struct TileBounds {
   double access_max = 0.0;
 };
 
-class ClientBlockView {
+class ClientBlockView final {
+  struct FactoryOnly {};
+
  public:
-  virtual ~ClientBlockView() = default;
+  /// A resident block: adopts `padded_block`, num_clients rows of
+  /// PaddedStride(num_servers) doubles, pad lanes 0.0 (the layout
+  /// Problem's constructors build).
+  static std::shared_ptr<ClientBlockView> FromBlock(
+      std::int32_t num_clients, std::int32_t num_servers,
+      std::vector<double> padded_block);
+
+  /// Clients sitting directly on substrate nodes:
+  /// d(c, s) = d_substrate(client_nodes[c], server_nodes[s]). Matches the
+  /// matrix/oracle Problem constructors bit-for-bit (exact oracle
+  /// backends; estimated backends match an estimated materialized build).
+  /// Queries |S| oracle rows at construction, then drops the oracle.
+  static std::shared_ptr<ClientBlockView> FromOracle(
+      const net::DistanceOracle& oracle,
+      std::span<const net::NodeIndex> server_nodes,
+      std::span<const net::NodeIndex> client_nodes,
+      const TileOptions& tile = {});
+
+  /// Attached clients (the streaming-cloud shape, data/streaming.h):
+  /// d(c, s) = access_ms[c] + d_substrate(attach[c], server_nodes[s]).
+  /// The addition uses the same operand order as the materialized cloud
+  /// build, so the synthesized block is bit-identical to it.
+  static std::shared_ptr<ClientBlockView> FromAttachments(
+      const net::DistanceOracle& oracle,
+      std::span<const net::NodeIndex> server_nodes,
+      std::span<const net::NodeIndex> attach, std::span<const double> access_ms,
+      const TileOptions& tile = {});
+
+  /// Reachable only through the factories (FactoryOnly is private); public
+  /// so they can build the view and its shared_ptr control block in one
+  /// std::make_shared allocation.
+  ClientBlockView(FactoryOnly, std::int32_t num_clients,
+                  std::int32_t num_servers, const TileOptions& tile);
   ClientBlockView(const ClientBlockView&) = delete;
   ClientBlockView& operator=(const ClientBlockView&) = delete;
 
@@ -146,20 +182,28 @@ class ClientBlockView {
   /// pad lanes 0.0 — the layout the SIMD kernels run on.
   std::size_t server_stride() const { return server_stride_; }
 
-  /// The resident padded block, or nullptr on lazy backends. Fast paths
-  /// that need contiguous multi-row access branch on this once and fall
-  /// back to tiles.
-  const double* raw_block() const { return raw_block_; }
-
-  /// Client-to-server latency d(c, s). O(1) on both backends (lazy
-  /// backends compute one addition); inline load when materialized.
-  double cs(ClientIndex c, ServerIndex s) const {
-    if (raw_block_ != nullptr) {
-      return raw_block_[static_cast<std::size_t>(c) * server_stride_ +
-                        static_cast<std::size_t>(s)];
-    }
-    return CsSlow(c, s);
+  /// The resident padded block of a FromBlock view, else nullptr.
+  const double* raw_block() const {
+    return row_of_.empty() ? rows_.data() : nullptr;
   }
+
+  /// The |S| x |S| server block captured by FromOracle / FromAttachments
+  /// (dense row-major, zero diagonal; empty for FromBlock) —
+  /// Problem::FromView consumes it so the oracle is queried exactly once.
+  std::span<const double> server_block() const { return ss_block_; }
+
+  /// Client-to-server latency d(c, s): one load, plus one addition when
+  /// clients carry an access delay.
+  double cs(ClientIndex c, ServerIndex s) const {
+    const double leg =
+        rows_[RowIndex(c) * server_stride_ + static_cast<std::size_t>(s)];
+    return access_.empty() ? leg : access_[static_cast<std::size_t>(c)] + leg;
+  }
+
+  /// Client c's padded row: a pointer into the view when the row is
+  /// stored as is (no access leg), else the row filled into `scratch`
+  /// (server_stride() doubles) and `scratch` itself.
+  const double* Row(ClientIndex c, double* scratch) const;
 
   /// Write client c's padded row into out[0..server_stride()): the
   /// num_servers() latencies then 0.0 pad lanes.
@@ -175,8 +219,8 @@ class ClientBlockView {
   void FillColumn(ServerIndex s, double* out) const;
 
   /// Visit ascending, disjoint tiles covering every client exactly once.
-  /// MaterializedView emits one zero-copy tile; lazy backends synthesize
-  /// TileOptions-sized tiles through the buffer pool, keeping up to
+  /// A resident block is one zero-copy tile; otherwise TileOptions-sized
+  /// tiles are synthesized through the buffer pool, keeping up to
   /// prefetch_depth tiles in flight on the global pool when it has
   /// workers. Tile data is valid only during fn; fn runs on the calling
   /// thread, and tiles arrive in ascending order regardless of depth.
@@ -190,7 +234,7 @@ class ClientBlockView {
   /// (disjoint) or folding into per-slot state merged in ascending slot
   /// order after the call (exact for max/min folds). Order-sensitive
   /// consumers (float accumulation) must use the sequential overload.
-  /// MaterializedView partitions the resident block into zero-copy tiles.
+  /// A resident block is partitioned into zero-copy tiles.
   void ForEachTile(
       const std::function<void(const ClientTile&, std::size_t)>& fn) const;
 
@@ -204,21 +248,20 @@ class ClientBlockView {
   /// tile and handing it to fn like ForEachTile. The caller's predicate
   /// must be CERTIFIED: it may only reject a tile when the TileBounds
   /// sandwich proves fn's result cannot change, so the traversal output
-  /// is bit-identical to ForEachTile at every pruning rate. A
-  /// MaterializedView — whose tiles are zero-copy, nothing to avoid — and
-  /// a view with bound_pruning disabled ignore pred and visit every tile.
+  /// is bit-identical to ForEachTile at every pruning rate. A resident
+  /// block — one zero-copy tile, nothing to avoid — and a view with
+  /// bound_pruning disabled ignore pred and visit every tile.
   void ForEachTileBounded(
       const std::function<bool(const TileBounds&)>& pred,
       const std::function<void(const ClientTile&)>& fn) const;
 
-  /// Exact min/max of column s over the clients' attachment structure:
-  /// every cs(c, s) satisfies
+  /// Exact min/max of column s over the stored rows: every cs(c, s)
+  /// satisfies
   ///   fl(access(c) + lower) <= cs(c, s) <= fl(access(c) + upper)
-  /// (equality-tight when clients sit on nodes). OracleTileView
-  /// precomputes these per server at build; MaterializedView derives them
-  /// from the resident block on first use (cached). The doubles are exact
-  /// column aggregates — no estimation slack — so bounds composed from
-  /// them by monotone IEEE ops are certified.
+  /// (equality-tight when there is no access leg). Computed once, on
+  /// first use. The doubles are exact column aggregates — no estimation
+  /// slack — so bounds composed from them by monotone IEEE ops are
+  /// certified.
   struct ColumnAggregate {
     double lower = 0.0;
     double upper = 0.0;
@@ -234,23 +277,22 @@ class ClientBlockView {
   /// of synthesizing O(|C| x |S|) tiles.
   void GatherAssigned(const ServerIndex* assign, double* out) const;
 
-  /// Eccentricity fold, bounds-first: far[s] = max(far[s], cs(c, s)) over
-  /// every client with assign[c] == s, bit-identical to the full
-  /// MaxAbsorbScatter pass at any pruning rate (max is exact, and a
-  /// skipped tile is certified to leave every far[s] unchanged:
-  /// fl(access(c) + ColumnBounds(a_c).upper) <= far[a_c] held for each of
-  /// its clients, and far only grows). Pruned tile ranges count into
-  /// tiles_pruned; surviving tiles refine through the sparse assigned
-  /// gather, never tile synthesis.
+  /// Eccentricity fold: far[s] = max(far[s], cs(c, s)) over every client
+  /// with assign[c] == s. On a synthesized block the fold runs
+  /// bounds-first, bit-identical to the full pass at any pruning rate
+  /// (max is exact, and a skipped tile is certified to leave every far[s]
+  /// unchanged: fl(access(c) + ColumnBounds(a_c).upper) <= far[a_c] held
+  /// for each of its clients, and far only grows). Pruned tile ranges
+  /// count into tiles_pruned; surviving tiles refine through the sparse
+  /// assigned gather, never tile synthesis.
   void FoldAssignedMax(const ServerIndex* assign, double* far) const;
 
   /// Per-client nearest server, bit-identical to running
   /// simd::ArgMinFirst over every exact row: server_out[c] = the LOWEST
   /// server index attaining min_s cs(c, s), dist_out[c] = that minimum.
-  /// OracleTileView factorizes the scan per attachment node (each node's
-  /// column minimum plus an ulp-window candidate set refined exactly per
-  /// client), turning the O(|C| x |S|) row scans into
-  /// O(n x |S| + |C|) work.
+  /// The scan is factorized per stored row (each row's minimum plus an
+  /// ulp-window candidate set refined exactly per client), turning the
+  /// O(|C| x |S|) row scans into O(rows x |S| + |C|) work.
   void FillNearest(ServerIndex* server_out, double* dist_out) const;
 
   /// The full padded block as a fresh vector (|C| rows of
@@ -269,48 +311,60 @@ class ClientBlockView {
   /// avoided. Telemetry only — feeds ClientBlockStats::tiles_pruned.
   void CountPrunedTiles(std::int64_t n) const;
 
- protected:
-  ClientBlockView(std::int32_t num_clients, std::int32_t num_servers,
-                  const TileOptions& tile);
+ private:
+  static std::shared_ptr<ClientBlockView> Build(
+      const net::DistanceOracle& oracle,
+      std::span<const net::NodeIndex> server_nodes,
+      std::span<const net::NodeIndex> attach_nodes,
+      std::span<const double> access_ms, const TileOptions& tile);
 
-  /// Lazy-backend hooks; never called while raw_block_ is set.
-  virtual double CsSlow(ClientIndex c, ServerIndex s) const = 0;
-  virtual void FillRowSlow(ClientIndex c, double* out) const = 0;
-  virtual void GatherColumnSlow(ServerIndex s, const ClientIndex* ids,
-                                std::size_t count, double* out) const = 0;
-  /// Full column without an id list (out[c] = cs(c, s) for all clients).
-  virtual void FillColumnSlow(ServerIndex s, double* out) const = 0;
+  /// Index of client c's row in rows_.
+  std::size_t RowIndex(ClientIndex c) const {
+    return row_of_.empty()
+               ? static_cast<std::size_t>(c)
+               : static_cast<std::size_t>(row_of_[static_cast<std::size_t>(c)]);
+  }
+  std::size_t NumRows() const { return rows_.size() / server_stride_; }
+  /// Server s's row of the server-major mirror (synthesized blocks only).
+  const double* Column(ServerIndex s) const {
+    return cols_.data() + static_cast<std::size_t>(s) * NumRows();
+  }
+  /// The access delays, or nullptr without an access leg.
+  const double* Access() const {
+    return access_.empty() ? nullptr : access_.data();
+  }
   /// Fill rows [begin, end) into `out` ((end - begin) * stride doubles,
   /// pads included).
-  virtual void FillTileSlow(ClientIndex begin, ClientIndex end,
-                            double* out) const = 0;
-  /// Column aggregate without backend structure: one FillColumn pass.
-  virtual ColumnAggregate ColumnBoundsSlow(ServerIndex s) const;
-  /// Exact access-delay range of logical tile t; the default (no access
-  /// structure) reports {0, 0}, which keeps TileBounds conservative only
-  /// on backends that never prune anyway.
-  virtual void TileAccessRange(std::size_t t, double* lo, double* hi) const;
-  /// Assigned-diagonal gather; default walks cs().
-  virtual void GatherAssignedSlow(const ServerIndex* assign,
-                                  double* out) const;
-  /// Eccentricity fold; default is the unpruned sparse gather + max pass.
-  virtual void FoldAssignedMaxSlow(const ServerIndex* assign,
-                                   double* far) const;
-  /// Nearest-server scan; default is FillRow + simd::ArgMinFirst per row.
-  virtual void FillNearestSlow(ServerIndex* server_out,
-                               double* dist_out) const;
-
-  bool bound_pruning() const { return tile_.bound_pruning; }
+  void FillTile(ClientIndex begin, ClientIndex end, double* out) const;
+  /// ColumnBounds of every server, computed on first use.
+  const std::vector<ColumnAggregate>& AllColumnBounds() const;
+  void BumpTileBytesPeak(std::int64_t live_bytes) const;
 
   std::int32_t num_clients_;
   std::int32_t num_servers_;
   std::size_t server_stride_;
   TileOptions tile_;
-  /// Set by MaterializedView; nullptr on lazy backends.
-  const double* raw_block_ = nullptr;
 
- private:
-  void BumpTileBytesPeak(std::int64_t live_bytes) const;
+  /// Row-major server distances: one padded row (server_stride doubles,
+  /// pads 0.0) per stored row — every client of a resident block, else
+  /// every distinct attachment node in first-appearance order.
+  std::vector<double> rows_;
+  /// row_of_[c]: client c's row in rows_; empty for a resident block,
+  /// where client c is row c.
+  std::vector<std::int32_t> row_of_;
+  /// Per-client access delay; empty when clients sit on their rows (no
+  /// addition is performed, preserving the matrix path's bits).
+  std::vector<double> access_;
+  /// Server-major mirror of rows_ (|S| rows of NumRows() doubles) so
+  /// column gathers stay inside one compact row; empty for a resident
+  /// block, whose columns are read in place.
+  std::vector<double> cols_;
+  /// |S| x |S| dense server block (see server_block()).
+  std::vector<double> ss_block_;
+  /// Exact per-logical-tile access-delay range (empty without an access
+  /// leg), computed once at build on the NumTiles() grid.
+  std::vector<double> tile_access_min_;
+  std::vector<double> tile_access_max_;
 
   mutable std::atomic<std::int64_t> tiles_loaded_{0};
   mutable std::atomic<std::int64_t> columns_gathered_{0};
@@ -318,120 +372,17 @@ class ClientBlockView {
   mutable std::atomic<std::int64_t> tiles_pruned_{0};
   mutable std::once_flag col_bounds_once_;
   mutable std::vector<ColumnAggregate> col_bounds_;
-};
-
-/// The historical backend: owns the padded |C| x server_stride block.
-class MaterializedView final : public ClientBlockView {
- public:
-  /// Adopts `padded_block`: num_clients rows of PaddedStride(num_servers)
-  /// doubles, pad lanes 0.0 (the layout Problem's constructors build).
-  MaterializedView(std::int32_t num_clients, std::int32_t num_servers,
-                   std::vector<double> padded_block);
-
- protected:
-  double CsSlow(ClientIndex c, ServerIndex s) const override;
-  void FillRowSlow(ClientIndex c, double* out) const override;
-  void GatherColumnSlow(ServerIndex s, const ClientIndex* ids,
-                        std::size_t count, double* out) const override;
-  void FillColumnSlow(ServerIndex s, double* out) const override;
-  void FillTileSlow(ClientIndex begin, ClientIndex end,
-                    double* out) const override;
-
- private:
-  std::vector<double> block_;
-};
-
-/// The streaming backend: synthesizes client rows from O(n * |S|) server
-///-row state pulled once from a distance oracle.
-class OracleTileView final : public ClientBlockView {
- public:
-  /// Clients sitting directly on substrate nodes:
-  /// d(c, s) = d_substrate(client_nodes[c], server_nodes[s]). Matches the
-  /// matrix/oracle Problem constructors bit-for-bit (exact oracle
-  /// backends; estimated backends match an estimated materialized build).
-  /// Queries |S| oracle rows at construction, then drops the oracle.
-  static std::shared_ptr<OracleTileView> FromOracle(
-      const net::DistanceOracle& oracle,
-      std::span<const net::NodeIndex> server_nodes,
-      std::span<const net::NodeIndex> client_nodes,
-      const TileOptions& tile = {});
-
-  /// Attached clients (the streaming-cloud shape, data/streaming.h):
-  /// d(c, s) = access_ms[c] + d_substrate(attach[c], server_nodes[s]).
-  /// The addition uses the same operand order as the materialized cloud
-  /// build, so the synthesized block is bit-identical to it.
-  static std::shared_ptr<OracleTileView> FromAttachments(
-      const net::DistanceOracle& oracle,
-      std::span<const net::NodeIndex> server_nodes,
-      std::span<const net::NodeIndex> attach, std::span<const double> access_ms,
-      const TileOptions& tile = {});
-
-  /// The |S| x |S| server block captured during construction (dense
-  /// row-major, zero diagonal) — Problem::FromView consumes it so the
-  /// oracle is queried exactly once.
-  std::span<const double> server_block() const { return ss_block_; }
-
- protected:
-  double CsSlow(ClientIndex c, ServerIndex s) const override;
-  void FillRowSlow(ClientIndex c, double* out) const override;
-  void GatherColumnSlow(ServerIndex s, const ClientIndex* ids,
-                        std::size_t count, double* out) const override;
-  void FillColumnSlow(ServerIndex s, double* out) const override;
-  void FillTileSlow(ClientIndex begin, ClientIndex end,
-                    double* out) const override;
-  ColumnAggregate ColumnBoundsSlow(ServerIndex s) const override;
-  void TileAccessRange(std::size_t t, double* lo, double* hi) const override;
-  void GatherAssignedSlow(const ServerIndex* assign,
-                          double* out) const override;
-  void FoldAssignedMaxSlow(const ServerIndex* assign,
-                           double* far) const override;
-  void FillNearestSlow(ServerIndex* server_out,
-                       double* dist_out) const override;
-
- private:
-  OracleTileView(std::int32_t num_clients, std::int32_t num_servers,
-                 const TileOptions& tile);
-  static std::shared_ptr<OracleTileView> Build(
-      const net::DistanceOracle& oracle,
-      std::span<const net::NodeIndex> server_nodes,
-      std::span<const net::NodeIndex> attach_nodes,
-      std::span<const double> access_ms, const TileOptions& tile);
-
-  /// base_row_[c]: index of client c's substrate node among the distinct
-  /// attachment nodes (first-appearance order).
-  std::vector<std::int32_t> base_row_;
-  /// Per-client access delay; empty when clients sit on substrate nodes
-  /// (no addition is performed, preserving the matrix path's bits).
-  std::vector<double> access_;
-  /// Node-major server distances: one padded row (server_stride doubles,
-  /// pads 0.0) per distinct attachment node — row/tile fills stream it.
-  std::vector<double> node_rows_;
-  /// Server-major mirror: |S| rows of num_rows_ doubles — column gathers
-  /// stay inside one compact row instead of striding node_rows_.
-  std::vector<double> server_cols_;
-  /// |S| x |S| dense server block (see server_block()).
-  std::vector<double> ss_block_;
-  std::int32_t num_rows_ = 0;  ///< distinct attachment nodes
-
-  /// Exact per-server column aggregates over the attachment nodes
-  /// (ColumnBounds numerators), computed once at build.
-  std::vector<double> col_min_;
-  std::vector<double> col_max_;
-  /// Exact per-logical-tile access-delay range (empty when clients sit on
-  /// substrate nodes), computed once at build on the NumTiles() grid.
-  std::vector<double> tile_access_min_;
-  std::vector<double> tile_access_max_;
 
   /// Factorized nearest-server structure (FillNearest), built lazily on
-  /// first use: per attachment node, its column minimum, and the
-  /// ascending list of servers whose column entry sits within the
-  /// ulp-collapse window of that minimum — the only servers any client on
-  /// the node could tie with under IEEE rounding of access + leg.
+  /// first use: per stored row, its minimum, and the ascending list of
+  /// servers whose entry sits within the ulp-collapse window of that
+  /// minimum — the only servers any client on the row could tie with
+  /// under IEEE rounding of access + leg.
   void BuildNearestIndex() const;
   mutable std::once_flag nearest_once_;
   mutable std::vector<double> node_min_;
   mutable std::vector<ServerIndex> node_argmin_;
-  mutable std::vector<std::int32_t> cand_begin_;  ///< num_rows_ + 1 offsets
+  mutable std::vector<std::int32_t> cand_begin_;  ///< NumRows() + 1 offsets
   mutable std::vector<ServerIndex> cand_list_;
 };
 

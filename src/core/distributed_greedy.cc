@@ -21,19 +21,10 @@ std::vector<double> EccentricitiesExcluding(const Problem& problem,
                                             const Assignment& a,
                                             ClientIndex exclude) {
   std::vector<double> far(static_cast<std::size_t>(problem.num_servers()), -1.0);
-  // The eccentricity fold, split around the excluded client.
+  // The eccentricity fold, split around the excluded client, tile by tile
+  // with ranges relative to the tile base (the kernel indexes rows from
+  // its cs pointer); a resident block is one zero-copy tile.
   const ClientBlockView& view = problem.client_block();
-  if (const double* cs = view.raw_block()) {
-    const std::size_t stride = problem.server_stride();
-    simd::MaxAbsorbScatter(far.data(), a.server_of.data(), cs, stride, 0,
-                           exclude);
-    simd::MaxAbsorbScatter(far.data(), a.server_of.data(), cs, stride,
-                           static_cast<std::int64_t>(exclude) + 1,
-                           problem.num_clients());
-    return far;
-  }
-  // Streamed block: same split, tile by tile, with ranges relative to the
-  // tile base (the kernel indexes rows from its cs pointer).
   view.ForEachTile([&](const ClientTile& tile) {
     const std::int64_t tb = tile.begin;
     const std::int64_t len = tile.end - tile.begin;

@@ -22,26 +22,22 @@ class Search {
         far_(static_cast<std::size_t>(problem.num_servers()), -1.0),
         load_(static_cast<std::size_t>(problem.num_servers()), 0),
         current_(static_cast<std::size_t>(problem.num_clients())) {
-    // Branch-and-bound revisits arbitrary client rows at every node, so a
-    // streamed block is materialized locally for the search's lifetime.
+    // Branch-and-bound revisits arbitrary client rows at every node, so
+    // the block is materialized locally for the search's lifetime.
     // Exhaustive search is only tractable at sizes where the block is
     // small anyway; the copy trades memory the instance can afford for
     // the random access the recursion needs.
     const ClientBlockView& view = problem.client_block();
     stride_ = view.server_stride();
-    if (view.raw_block() != nullptr) {
-      block_ = view.raw_block();
-    } else {
-      local_block_ = view.MaterializeBlock();
-      block_ = local_block_.data();
-    }
+    block_ = view.MaterializeBlock();
     // Client order: hardest (largest nearest-server round trip) first for
     // earlier pruning.
     order_.resize(static_cast<std::size_t>(problem.num_clients()));
     std::iota(order_.begin(), order_.end(), 0);
     min_rtt_.resize(order_.size());
     for (ClientIndex c = 0; c < problem.num_clients(); ++c) {
-      const double* row = block_ + static_cast<std::size_t>(c) * stride_;
+      const double* row =
+          block_.data() + static_cast<std::size_t>(c) * stride_;
       double best = row[0];
       for (ServerIndex s = 1; s < problem.num_servers(); ++s) {
         best = std::min(best, row[s]);
@@ -93,7 +89,8 @@ class Search {
     if (std::max(partial_len, suffix_bound_[depth]) >= best_len_) return;
 
     const ClientIndex c = order_[depth];
-    const double* row = block_ + static_cast<std::size_t>(c) * stride_;
+    const double* row =
+        block_.data() + static_cast<std::size_t>(c) * stride_;
     for (ServerIndex s = 0; s < problem_.num_servers(); ++s) {
       if (options_.assign.capacitated() &&
           load_[static_cast<std::size_t>(s)] >= options_.assign.CapacityOf(s)) {
@@ -121,8 +118,7 @@ class Search {
 
   const Problem& problem_;
   const ExactOptions& options_;
-  std::vector<double> local_block_;  // copy of a streamed block, else empty
-  const double* block_ = nullptr;    // resident or local rows, stride_ apart
+  std::vector<double> block_;  // the client block, rows stride_ apart
   std::size_t stride_ = 0;
   std::vector<ClientIndex> order_;
   std::vector<double> min_rtt_;

@@ -28,7 +28,7 @@ Assignment Uncapacitated(const Problem& problem, SolveStats* stats) {
   const ClientBlockView& view = problem.client_block();
   std::vector<Candidate> order(static_cast<std::size_t>(num_clients));
   // The view's factorized nearest scan: the same (server, distance) pick
-  // ArgMinFirst made per exact row, but a lazy backend answers per
+  // ArgMinFirst made per exact row, but a synthesized block answers per
   // attachment node instead of synthesizing O(|C| x |S|) tiles.
   {
     std::vector<ServerIndex> near(static_cast<std::size_t>(num_clients));
@@ -51,8 +51,8 @@ Assignment Uncapacitated(const Problem& problem, SolveStats* stats) {
     if (a[lead.client] != kUnassigned) continue;
     DIACA_OBS_SPAN("core.lfb.batch");
     // Batch: every unassigned client no farther from lead.nearest than
-    // lead. One column fill per batch keeps the lazy backend on its
-    // compact server-major path instead of a per-client virtual lookup.
+    // lead. One column fill per batch keeps a synthesized block on its
+    // compact server-major path instead of per-client lookups.
     view.FillColumn(lead.nearest, column.data());
     std::int32_t batch_size = 0;
     for (ClientIndex c = 0; c < num_clients; ++c) {
@@ -73,7 +73,6 @@ Assignment Capacitated(const Problem& problem, const AssignOptions& options,
   const std::int32_t num_clients = problem.num_clients();
   const ClientBlockView& view = problem.client_block();
   const std::size_t stride = view.server_stride();
-  const double* raw = view.raw_block();
   std::vector<std::int32_t> remaining(
       static_cast<std::size_t>(problem.num_servers()));
   for (ServerIndex s = 0; s < problem.num_servers(); ++s) {
@@ -106,15 +105,9 @@ Assignment Capacitated(const Problem& problem, const AssignOptions& options,
           if (a[c] != kUnassigned) {
             return -kInf;
           }
-          const double* row;
           thread_local std::vector<double> scratch;
-          if (raw != nullptr) {
-            row = raw + static_cast<std::size_t>(c) * stride;
-          } else {
-            scratch.resize(stride);
-            view.FillRow(c, scratch.data());
-            row = scratch.data();
-          }
+          scratch.resize(stride);
+          const double* row = view.Row(c, scratch.data());
           const simd::ArgResult best =
               simd::ArgMinPlusFirst(row, avail.data(), avail.size());
           DIACA_CHECK_MSG(best.index >= 0, "all servers saturated early");

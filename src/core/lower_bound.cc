@@ -12,18 +12,6 @@ namespace diaca::core {
 
 namespace {
 
-// Row of client c: the resident row when materialized, else filled into
-// `scratch` through the view.
-const double* RowOf(const ClientBlockView& view, ClientIndex c,
-                    std::vector<double>& scratch) {
-  if (const double* raw = view.raw_block()) {
-    return raw + static_cast<std::size_t>(c) * view.server_stride();
-  }
-  scratch.resize(view.server_stride());
-  view.FillRow(c, scratch.data());
-  return scratch.data();
-}
-
 LowerBoundDetail ComputePairwise(const Problem& problem) {
   const std::int32_t num_clients = problem.num_clients();
   const std::int32_t num_servers = problem.num_servers();
@@ -56,27 +44,11 @@ LowerBoundDetail ComputePairwise(const Problem& problem) {
 
   // LB = max_{c,c'} min_{s'} m[c][s'] + d(s',c'). The pair function is
   // symmetric in (c, c'), so only ordered pairs c <= c' are scanned.
-  LowerBoundDetail detail;
-  if (const double* raw = view.raw_block()) {
-    for (ClientIndex c = 0; c < num_clients; ++c) {
-      const double* m_row = m.data() + static_cast<std::size_t>(c) * stride;
-      for (ClientIndex c2 = c; c2 < num_clients; ++c2) {
-        const double best = simd::MinPlusReduce(
-            m_row, raw + static_cast<std::size_t>(c2) * stride, ss);
-        if (best > detail.value) {
-          detail.value = best;
-          detail.first = c;
-          detail.second = c2;
-        }
-      }
-    }
-    return detail;
-  }
-  // Streamed block: iterate c2 tile-major so each client row is
-  // synthesized once, c inner. The strict `>` of the c-major loop keeps
-  // the lexicographically smallest pair attaining the max; the explicit
-  // lex tie-break below reproduces exactly that pair under the swapped
-  // iteration order, so both backends report identical witnesses.
+  // Iterate c2 tile-major so each client row is synthesized once, c
+  // inner. The explicit lex tie-break below keeps the lexicographically
+  // smallest pair attaining the max — the pair a c-major scan with a
+  // strict `>` reports — so the witness is independent of the tiling. A
+  // resident block is one zero-copy tile.
   //
   // Filter-and-refine over the pair grid. Each m row's minimum lane gives
   // a certified per-pair upper bound with zero slack:
@@ -97,6 +69,7 @@ LowerBoundDetail ComputePairwise(const Problem& problem) {
     m_min[c] = r.value;
     m_star[c] = static_cast<ServerIndex>(r.index);
   }
+  LowerBoundDetail detail;
   view.ForEachTileBounded(
       [&](const TileBounds& tb) {
         for (ClientIndex c = 0; c < tb.end; ++c) {
@@ -147,10 +120,10 @@ double TripleBound(const Problem& problem, ClientIndex a, ClientIndex b,
                    ClientIndex c, double stop_above) {
   const std::int32_t num_servers = problem.num_servers();
   const ClientBlockView& view = problem.client_block();
-  std::vector<double> scratch_a, scratch_b, scratch_c;
-  const double* da = RowOf(view, a, scratch_a);
-  const double* db = RowOf(view, b, scratch_b);
-  const double* dc = RowOf(view, c, scratch_c);
+  std::vector<double> scratch(3 * view.server_stride());
+  const double* da = view.Row(a, scratch.data());
+  const double* db = view.Row(b, scratch.data() + view.server_stride());
+  const double* dc = view.Row(c, scratch.data() + 2 * view.server_stride());
   double best = std::numeric_limits<double>::infinity();
   for (ServerIndex sa = 0; sa < num_servers; ++sa) {
     if (2.0 * da[sa] >= best) continue;

@@ -13,17 +13,13 @@ namespace diaca::core {
 
 ServerIndex NearestServerOf(const Problem& problem, ClientIndex c) {
   const ClientBlockView& view = problem.client_block();
-  const auto n = static_cast<std::size_t>(view.num_servers());
-  // First minimum == the serial ascending scan with a strict `<`.
-  if (const double* raw = view.raw_block()) {
-    return static_cast<ServerIndex>(
-        simd::ArgMinFirst(raw + static_cast<std::size_t>(c) * view.server_stride(), n)
-            .index);
-  }
   thread_local std::vector<double> scratch;
   scratch.resize(view.server_stride());
-  view.FillRow(c, scratch.data());
-  return static_cast<ServerIndex>(simd::ArgMinFirst(scratch.data(), n).index);
+  // First minimum == the serial ascending scan with a strict `<`.
+  return static_cast<ServerIndex>(
+      simd::ArgMinFirst(view.Row(c, scratch.data()),
+                        static_cast<std::size_t>(view.num_servers()))
+          .index);
 }
 
 Assignment NearestServerAssign(const Problem& problem,
@@ -32,12 +28,11 @@ Assignment NearestServerAssign(const Problem& problem,
   CheckCapacityFeasible(problem, options);
   Assignment a(static_cast<std::size_t>(problem.num_clients()));
   const ClientBlockView& view = problem.client_block();
-  const auto num_servers = static_cast<std::size_t>(problem.num_servers());
 
   if (!options.capacitated()) {
     // The view's factorized nearest scan: bit-identical to ArgMinFirst
-    // over every exact row, but a lazy backend answers per attachment
-    // node instead of synthesizing O(|C| x |S|) tiles.
+    // over every exact row, but a synthesized block answers per
+    // attachment node instead of synthesizing O(|C| x |S|) tiles.
     std::vector<double> dist(static_cast<std::size_t>(problem.num_clients()));
     view.FillNearest(a.server_of.data(), dist.data());
     return a;

@@ -85,8 +85,8 @@ Problem::Problem(const net::LatencyMatrix& matrix,
       out[s] = row[server_nodes_[static_cast<std::size_t>(s)]];
     }
   }
-  client_block_ = std::make_shared<MaterializedView>(num_clients_, num_servers_,
-                                                     std::move(d_cs));
+  client_block_ = ClientBlockView::FromBlock(num_clients_, num_servers_,
+                                             std::move(d_cs));
 
   d_ss_.assign(static_cast<std::size_t>(num_servers_) * server_stride_, 0.0);
   for (ServerIndex a = 0; a < num_servers_; ++a) {
@@ -146,8 +146,8 @@ Problem::Problem(const net::DistanceOracle& oracle,
           }
         }
       });
-  client_block_ = std::make_shared<MaterializedView>(num_clients_, num_servers_,
-                                                     std::move(d_cs));
+  client_block_ = ClientBlockView::FromBlock(num_clients_, num_servers_,
+                                             std::move(d_cs));
 
   d_ss_.assign(static_cast<std::size_t>(num_servers_) * server_stride_, 0.0);
   for (ServerIndex a = 0; a < num_servers_; ++a) {
@@ -205,8 +205,8 @@ Problem Problem::FromBlocks(std::vector<net::NodeIndex> server_nodes,
       out[s] = in[s];
     }
   }
-  p.client_block_ = std::make_shared<MaterializedView>(
-      p.num_clients_, p.num_servers_, std::move(padded));
+  p.client_block_ = ClientBlockView::FromBlock(p.num_clients_, p.num_servers_,
+                                               std::move(padded));
   p.AdoptServerBlock(d_ss);
   return p;
 }
@@ -244,7 +244,7 @@ Problem Problem::FromOracleTiled(const net::DistanceOracle& oracle,
   CheckNodes(server_nodes, oracle.size(), "server");
   CheckNodes(client_nodes, oracle.size(), "client");
   auto view =
-      OracleTileView::FromOracle(oracle, server_nodes, client_nodes, tile);
+      ClientBlockView::FromOracle(oracle, server_nodes, client_nodes, tile);
   const std::span<const double> d_ss = view->server_block();
   return FromView(std::move(view),
                   {server_nodes.begin(), server_nodes.end()},

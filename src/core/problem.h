@@ -114,10 +114,10 @@ class Problem {
                             std::span<const double> d_ss);
 
   /// Assemble a problem around an existing client-block view (the
-  /// no-materialize path: data::BuildClientCloud hands solvers an
-  /// OracleTileView directly). `d_ss` is |S| x |S| dense row-major and
-  /// validated like FromBlocks. The view's client/server counts must
-  /// match the node lists.
+  /// no-materialize path: data::BuildClientCloud hands solvers a
+  /// ClientBlockView::FromAttachments view directly). `d_ss` is
+  /// |S| x |S| dense row-major and validated like FromBlocks. The view's
+  /// client/server counts must match the node lists.
   static Problem FromView(std::shared_ptr<const ClientBlockView> view,
                           std::vector<net::NodeIndex> server_nodes,
                           std::vector<net::NodeIndex> client_nodes,

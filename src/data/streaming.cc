@@ -46,11 +46,11 @@ ClientCloud BuildClientCloud(const ClientCloudParams& params,
   }
 
   if (!params.materialize_block) {
-    // No-materialize path: hand the solvers an OracleTileView directly.
+    // No-materialize path: hand the solvers a factorized view directly.
     // The view pulls the same |S| canonical server rows the block fill
     // below would and synthesizes client rows with the same single
     // addition, so every solver lands on bit-identical assignments.
-    auto view = core::OracleTileView::FromAttachments(
+    auto view = core::ClientBlockView::FromAttachments(
         oracle, servers, attach, access_ms, params.tile);
     std::vector<net::NodeIndex> client_ids(num_clients);
     std::iota(client_ids.begin(), client_ids.end(), n);

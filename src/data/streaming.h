@@ -47,11 +47,11 @@ struct ClientCloudParams {
   double access_sigma = 0.6;
   double min_access_ms = 0.2;
   /// When false the |C| x |S| client block is never materialized: the
-  /// problem's client block is a core::OracleTileView that synthesizes
-  /// tiles on demand from the |S| substrate server rows, bit-identical to
-  /// the materialized build (d(c,s) = access(c) + row, one IEEE addition
-  /// either way). Peak retained memory drops from O(|C| * |S|) to
-  /// O(n * |S|) plus one tile pool.
+  /// problem's client block is a core::ClientBlockView::FromAttachments
+  /// view that synthesizes tiles on demand from the |S| substrate server
+  /// rows, bit-identical to the materialized build (d(c,s) = access(c) +
+  /// row, one IEEE addition either way). Peak retained memory drops from
+  /// O(|C| * |S|) to O(n * |S|) plus one tile pool.
   bool materialize_block = true;
   /// Tile sizing for the streamed block (ignored when materializing).
   core::TileOptions tile;

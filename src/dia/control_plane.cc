@@ -428,15 +428,14 @@ core::Assignment FreshGreedyAssignment(
   const auto ns = static_cast<std::size_t>(num_servers);
   const core::ClientBlockView& view = problem.client_block();
 
-  // Gather the member rows into a dense sub-problem (node ids are labels
-  // carried through for debuggability; FromBlocks never indexes by them).
-  std::vector<double> d_cs(members.size() * ns);
-  std::vector<double> row(view.server_stride());
+  // Gather the member rows, padded, straight into the sub-problem's
+  // resident block (node ids are labels carried through for
+  // debuggability; the view never indexes by them).
+  std::vector<double> d_cs(members.size() * view.server_stride());
   std::vector<net::NodeIndex> client_nodes(members.size());
   for (std::size_t i = 0; i < members.size(); ++i) {
     const core::ClientIndex m = members[i];
-    view.FillRow(m, row.data());
-    std::copy_n(row.data(), ns, d_cs.data() + i * ns);
+    view.FillRow(m, d_cs.data() + i * view.server_stride());
     client_nodes[i] = problem.client_node(m);
   }
   std::vector<double> d_ss(ns * ns);
@@ -448,8 +447,10 @@ core::Assignment FreshGreedyAssignment(
   }
   std::vector<net::NodeIndex> server_nodes(problem.server_nodes().begin(),
                                            problem.server_nodes().end());
-  const core::Problem sub = core::Problem::FromBlocks(
-      std::move(server_nodes), std::move(client_nodes), d_cs, d_ss);
+  const core::Problem sub = core::Problem::FromView(
+      core::ClientBlockView::FromBlock(static_cast<std::int32_t>(members.size()),
+                                       num_servers, std::move(d_cs)),
+      std::move(server_nodes), std::move(client_nodes), d_ss);
 
   core::SolveStats stats;
   const core::Assignment sub_assignment = core::GreedyAssign(sub, assign, &stats);

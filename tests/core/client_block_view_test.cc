@@ -1,5 +1,5 @@
 // Tile-boundary property suite for the client-block view API: the
-// streamed OracleTileView must be bit-identical to the materialized
+// streamed (factorized) view must be bit-identical to the materialized
 // block at every tile size (including degenerate and off-by-one ones),
 // pool size, LRU capacity, and thread count, for every solver that
 // consumes the view. Also covers the view's traversal contract
@@ -325,7 +325,7 @@ TEST(ClientBlockViewTest, GreedySolveSynthesizesNoTilesOnStreamedBackend) {
   const ClientBlockStats before = tiled.client_block().stats();
   const SolveResult rt =
       SolverRegistry::Default().Solve("greedy", tiled, SolveOptions{});
-  // The bounds-first greedy never synthesizes a tile on a lazy backend:
+  // The bounds-first greedy never synthesizes a tile on a streamed block:
   // preprocessing buckets one FillColumn per server, the rounds refine
   // buckets through GatherColumn, a batch reads only its farthest
   // client's distance, and the objective fold reads only the assigned
@@ -498,7 +498,7 @@ TEST(ClientBlockViewTest, FromBlocksRejectsAsymmetricServerBlock) {
 
 TEST(ClientBlockViewTest, FromViewRejectsMismatchedNodeLists) {
   const Substrate sub = MakeSubstrate();
-  auto view = OracleTileView::FromOracle(sub.oracle, sub.servers, sub.clients);
+  auto view = ClientBlockView::FromOracle(sub.oracle, sub.servers, sub.clients);
   const std::span<const double> d_ss = view->server_block();
   std::vector<net::NodeIndex> short_clients(sub.clients.begin(),
                                             sub.clients.end() - 1);

@@ -158,7 +158,7 @@ Problem Tiled(const Instance& in, bool prune) {
   TileOptions tile;
   tile.tile_clients = 97;  // several tiles, not dividing |C|
   tile.bound_pruning = prune;
-  const auto view = OracleTileView::FromAttachments(
+  const auto view = ClientBlockView::FromAttachments(
       *in.oracle, in.servers, in.attach, in.access, tile);
   const std::vector<double> d_ss(view->server_block().begin(),
                                  view->server_block().end());

@@ -1,13 +1,20 @@
 #include "core/lower_bound.h"
 
 #include <cmath>
+#include <cstdint>
 #include <limits>
+#include <numeric>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "common/thread_pool.h"
+#include "core/client_block_view.h"
 #include "core/exact.h"
 #include "core/metrics.h"
+#include "net/distance_oracle.h"
 #include "../testutil.h"
 
 namespace diaca::core {
@@ -96,6 +103,121 @@ TEST(LowerBoundTest, CanBeStrictlyBelowOptimal) {
   const double lb = InteractivityLowerBound(p);
   const double opt = test::BruteForceOptimal(p);
   EXPECT_LT(lb, opt - 1e-9);
+}
+
+// The pairwise bound as a plain c-major scan over every pair c <= c2,
+// first strict `>` wins: the value and the lexicographically smallest
+// pair attaining it. Every term is a min or max of single IEEE additions,
+// so the scan order cannot change a bit of the value.
+LowerBoundDetail ReferencePairLoop(const Problem& p) {
+  const ClientBlockView& view = p.client_block();
+  const auto nc = static_cast<std::size_t>(p.num_clients());
+  const auto ns = static_cast<std::size_t>(p.num_servers());
+  std::vector<double> m(nc * ns, std::numeric_limits<double>::infinity());
+  for (std::size_t c = 0; c < nc; ++c) {
+    for (std::size_t s = 0; s < ns; ++s) {
+      const double d = view.cs(static_cast<ClientIndex>(c),
+                               static_cast<ServerIndex>(s));
+      for (std::size_t t = 0; t < ns; ++t) {
+        m[c * ns + t] = std::min(
+            m[c * ns + t],
+            d + p.ss(static_cast<ServerIndex>(s), static_cast<ServerIndex>(t)));
+      }
+    }
+  }
+  LowerBoundDetail detail;
+  for (std::size_t c = 0; c < nc; ++c) {
+    for (std::size_t c2 = c; c2 < nc; ++c2) {
+      double best = std::numeric_limits<double>::infinity();
+      for (std::size_t t = 0; t < ns; ++t) {
+        best = std::min(best, m[c * ns + t] +
+                                  view.cs(static_cast<ClientIndex>(c2),
+                                          static_cast<ServerIndex>(t)));
+      }
+      if (best > detail.value) {
+        detail.value = best;
+        detail.first = static_cast<ClientIndex>(c);
+        detail.second = static_cast<ClientIndex>(c2);
+      }
+    }
+  }
+  return detail;
+}
+
+// Symmetric matrix; integer-valued entries in [1, 4] make ties common.
+net::LatencyMatrix PairLoopMatrix(std::int32_t n, bool integer_valued,
+                                  Rng& rng) {
+  if (!integer_valued) return test::RandomMatrix(n, rng);
+  net::LatencyMatrix m(n);
+  for (net::NodeIndex u = 0; u < n; ++u) {
+    for (net::NodeIndex v = u + 1; v < n; ++v) {
+      m.Set(u, v, static_cast<double>(1 + rng.NextBounded(4)));
+    }
+  }
+  return m;
+}
+
+void ExpectMatchesPairLoop(const Problem& p, const std::string& label) {
+  const LowerBoundDetail want = ReferencePairLoop(p);
+  for (const std::int32_t threads : {1, 4}) {
+    SetGlobalThreads(threads);
+    const LowerBoundDetail got = InteractivityLowerBoundDetailed(p);
+    EXPECT_EQ(got.value, want.value) << label << " threads=" << threads;
+    EXPECT_EQ(got.first, want.first) << label << " threads=" << threads;
+    EXPECT_EQ(got.second, want.second) << label << " threads=" << threads;
+  }
+  SetGlobalThreads(0);
+}
+
+// Resident blocks and streamed ones (clients on nodes, and attached
+// clients with an access leg) at several tile sizes, on tie-heavy
+// integer and continuous random instances.
+TEST(LowerBoundTest, DetailedMatchesPairLoopOnEveryView) {
+  constexpr std::int32_t kNodes = 37;
+  constexpr std::int32_t kServers = 5;
+  for (const bool integer_valued : {true, false}) {
+    for (const std::uint64_t seed : {3u, 11u, 29u}) {
+      Rng rng(seed);
+      const net::LatencyMatrix matrix =
+          PairLoopMatrix(kNodes, integer_valued, rng);
+      std::vector<net::NodeIndex> servers(kServers);
+      std::iota(servers.begin(), servers.end(), 0);
+      std::vector<net::NodeIndex> clients(kNodes);
+      std::iota(clients.begin(), clients.end(), 0);
+      const std::string base = std::string(integer_valued ? "int" : "real") +
+                               " seed=" + std::to_string(seed);
+      ExpectMatchesPairLoop(Problem(matrix, servers, clients),
+                            base + " resident");
+
+      const net::DistanceOracle oracle =
+          net::DistanceOracle::FromMatrix(matrix);
+      // Attached clients: several per node, with integer access delays so
+      // access + leg sums tie as well.
+      std::vector<net::NodeIndex> attach(3 * kNodes);
+      std::vector<double> access(attach.size());
+      std::vector<net::NodeIndex> ids(attach.size());
+      for (std::size_t c = 0; c < attach.size(); ++c) {
+        attach[c] = static_cast<net::NodeIndex>(rng.NextBounded(kNodes));
+        access[c] = static_cast<double>(rng.NextBounded(3));
+        ids[c] = kNodes + static_cast<net::NodeIndex>(c);
+      }
+      for (const std::int32_t tile_clients : {1, 7, kNodes, 3 * kNodes}) {
+        TileOptions tile;
+        tile.tile_clients = tile_clients;
+        const std::string label =
+            base + " tile=" + std::to_string(tile_clients);
+        ExpectMatchesPairLoop(
+            Problem::FromOracleTiled(oracle, servers, clients, tile),
+            label + " tiled");
+        const auto view = ClientBlockView::FromAttachments(
+            oracle, servers, attach, access, tile);
+        const std::vector<double> d_ss(view->server_block().begin(),
+                                       view->server_block().end());
+        ExpectMatchesPairLoop(Problem::FromView(view, servers, ids, d_ss),
+                              label + " attached");
+      }
+    }
+  }
 }
 
 TEST(NormalizedInteractivityTest, Basics) {

@@ -112,6 +112,21 @@ if(NOT "${err}" MATCHES "unknown flag --distances")
   message(FATAL_ERROR "--distances was not rejected as an unknown flag:\n${err}")
 endif()
 
+# The cloud solve honors --capacity: 8 servers of 100 slots cannot hold
+# 20000 clients, so the capacity feasibility check must reject the run.
+execute_process(COMMAND ${DIACA_BIN} cloud --nodes=300 --clients=20000
+                        --servers=8 --capacity=100
+                WORKING_DIRECTORY ${WORK_DIR}
+                RESULT_VARIABLE code
+                OUTPUT_VARIABLE out
+                ERROR_VARIABLE err)
+if(code EQUAL 0)
+  message(FATAL_ERROR "infeasible capacitated cloud unexpectedly succeeded")
+endif()
+if(NOT "${err}" MATCHES "infeasible: total capacity 800 < 20000 clients")
+  message(FATAL_ERROR "cloud --capacity was not checked for feasibility:\n${err}")
+endif()
+
 # Simulate the session end to end from the produced files.
 run_step(${DIACA_BIN} simulate --matrix=world.txt --servers=servers.txt
          --assignment=assignment.txt --duration-ms=1500)

@@ -68,8 +68,9 @@ int Usage() {
       "           [--duration-ms=T] [--ops-per-second=R] [--seed=S]\n"
       "           [--failover=repair|resolve|nearest]\n"
       "  cloud    [--nodes=N] [--clients=M] [--servers=K] [--seed=S]\n"
-      "           [--algorithm=...] [--block=materialized|tiled]\n"
-      "           [--tile-clients=N] [--rss-budget-mb=MB] — streaming\n"
+      "           [--algorithm=...] [--capacity=N]\n"
+      "           [--block=materialized|tiled] [--tile-clients=N]\n"
+      "           [--rss-budget-mb=MB] — streaming\n"
       "           build + solve of a client cloud attached to a Waxman\n"
       "           substrate; never holds an O(n^2) matrix (reports peak\n"
       "           RSS vs dense equivalent; --block=tiled also skips the\n"
@@ -509,6 +510,8 @@ int CmdCloud(const Flags& flags) {
 
   Timer solve;
   core::SolveOptions solve_options;
+  solve_options.assign.capacity = static_cast<std::int32_t>(flags.GetInt(
+      "capacity", core::AssignOptions::kUnlimitedCapacity));
   solve_options.assign.bound_pruning = PruneRequested(flags);
   const core::SolveResult result =
       registry.Solve(algorithm, cloud.problem, solve_options);
