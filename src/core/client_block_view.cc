@@ -439,11 +439,13 @@ void ClientBlockView::GatherAssigned(const ServerIndex* assign,
   columns_gathered_.fetch_add(1, std::memory_order_relaxed);
 }
 
-void ClientBlockView::FoldAssignedMax(const ServerIndex* assign,
-                                      double* far) const {
+void ClientBlockView::FoldAssignedMax(const ServerIndex* assign, double* far,
+                                      ClientIndex begin,
+                                      ClientIndex end) const {
+  if (begin >= end) return;
   if (const double* raw = raw_block()) {
     // Resident data: nothing to avoid, one scatter pass.
-    simd::MaxAbsorbScatter(far, assign, raw, server_stride_, 0, num_clients_);
+    simd::MaxAbsorbScatter(far, assign, raw, server_stride_, begin, end);
     return;
   }
   // Bounds-first fold over the logical tile grid. A tile is skippable
@@ -458,11 +460,15 @@ void ClientBlockView::FoldAssignedMax(const ServerIndex* assign,
       std::clamp(tile_.tile_clients, 1, num_clients_);
   const std::vector<ColumnAggregate>& bounds = AllColumnBounds();
   std::int64_t pruned = 0;
-  for (std::int32_t begin = 0; begin < num_clients_; begin += tile_clients) {
-    const std::int32_t end = std::min(num_clients_, begin + tile_clients);
+  for (std::int32_t chunk_end = begin; chunk_end < end;) {
+    // The part of the grid tile holding `chunk_begin` inside the range.
+    const std::int32_t chunk_begin = chunk_end;
+    chunk_end = static_cast<std::int32_t>(std::min<std::int64_t>(
+        end, (static_cast<std::int64_t>(chunk_begin) / tile_clients + 1) *
+                 tile_clients));
     if (tile_.bound_pruning) {
       bool skip = true;
-      for (std::int32_t c = begin; c < end; ++c) {
+      for (std::int32_t c = chunk_begin; c < chunk_end; ++c) {
         const ServerIndex s = assign[c];
         if (s < 0) continue;
         const double upper = bounds[static_cast<std::size_t>(s)].upper;
@@ -479,7 +485,7 @@ void ClientBlockView::FoldAssignedMax(const ServerIndex* assign,
         continue;
       }
     }
-    for (std::int32_t c = begin; c < end; ++c) {
+    for (std::int32_t c = chunk_begin; c < chunk_end; ++c) {
       const ServerIndex s = assign[c];
       if (s >= 0) far[s] = std::max(far[s], cs(c, s));
     }

@@ -285,7 +285,14 @@ class ClientBlockView final {
   /// for each of its clients, and far only grows). Pruned tile ranges
   /// count into tiles_pruned; surviving tiles refine through the sparse
   /// assigned gather, never tile synthesis.
-  void FoldAssignedMax(const ServerIndex* assign, double* far) const;
+  void FoldAssignedMax(const ServerIndex* assign, double* far) const {
+    FoldAssignedMax(assign, far, 0, num_clients_);
+  }
+
+  /// The same fold over clients [begin, end) only (distributed greedy
+  /// folds around one excluded client).
+  void FoldAssignedMax(const ServerIndex* assign, double* far,
+                       ClientIndex begin, ClientIndex end) const;
 
   /// Per-client nearest server, bit-identical to running
   /// simd::ArgMinFirst over every exact row: server_out[c] = the LOWEST

@@ -21,27 +21,16 @@ std::vector<double> EccentricitiesExcluding(const Problem& problem,
                                             const Assignment& a,
                                             ClientIndex exclude) {
   std::vector<double> far(static_cast<std::size_t>(problem.num_servers()), -1.0);
-  // The eccentricity fold, split around the excluded client, tile by tile
-  // with ranges relative to the tile base (the kernel indexes rows from
-  // its cs pointer); a resident block is one zero-copy tile.
+  // The view's assigned-diagonal fold, split around the excluded client:
+  // one cs() per client (and certified tile skips on a synthesized
+  // block), never a synthesized tile. max is exact, so the split cannot
+  // change a bit.
   const ClientBlockView& view = problem.client_block();
-  view.ForEachTile([&](const ClientTile& tile) {
-    const std::int64_t tb = tile.begin;
-    const std::int64_t len = tile.end - tile.begin;
-    const auto* assign = a.server_of.data() + static_cast<std::size_t>(tb);
-    const std::int64_t lo_end =
-        std::min<std::int64_t>(tile.end, exclude) - tb;
-    if (lo_end > 0) {
-      simd::MaxAbsorbScatter(far.data(), assign, tile.data, tile.stride, 0,
-                             lo_end);
-    }
-    const std::int64_t hi_begin =
-        std::max<std::int64_t>(tb, static_cast<std::int64_t>(exclude) + 1) - tb;
-    if (hi_begin < len) {
-      simd::MaxAbsorbScatter(far.data(), assign, tile.data, tile.stride,
-                             hi_begin, len);
-    }
-  });
+  const ClientIndex n = problem.num_clients();
+  view.FoldAssignedMax(a.server_of.data(), far.data(), 0,
+                       std::clamp<ClientIndex>(exclude, 0, n));
+  view.FoldAssignedMax(a.server_of.data(), far.data(),
+                       std::clamp<ClientIndex>(exclude + 1, 0, n), n);
   return far;
 }
 

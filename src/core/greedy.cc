@@ -6,6 +6,7 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <numeric>
 #include <vector>
 
 #include "common/error.h"
@@ -91,6 +92,20 @@ void RebuildLadderRanks(Ladder& ladder, std::size_t len) {
 // order (the counting scatter is stable), which is exactly the
 // stability the radix sort needs to land the lexicographic tie-break.
 //
+// Lists are built lazily, over survivors only. Preprocessing keeps the
+// bucket histogram, minima and bucket map (dmin, inv) of every column but
+// scatters no client ids: an unbuilt list is the implicit list of all
+// |C| clients, a stale list with nothing compacted away yet, so its
+// bucket bounds stay certified by the stale-scan argument in the round
+// loop. A list is built — one counting scatter over the shared vector of
+// survivors (clients unassigned when it was last compacted), skipping
+// those assigned since — only when a scan must refine or evaluate one of
+// its buckets or when the zero fast path must refine its head bucket.
+// The eager version held 4 B per client per server from the start; at
+// 1M clients one round typically assigns most of them, so almost every
+// list is first built over the few survivors, and a list the bounds keep
+// out of every scan is never built at all.
+//
 // Selection is bit-identical to a scan of the fully sorted list because
 // every skip is justified by a certified lower bound against the running
 // strict-< incumbent (positions in later buckets lose cost ties by
@@ -121,15 +136,60 @@ struct Candidate {
   // On a miss it can sit far above the cutoff; the round loop memoizes it
   // to skip future scans.
   double lb = 0.0;
+  // An unbuilt list has no lanes: the scan stopped at the first bucket it
+  // could neither retire nor skip, and the caller must build and rescan.
+  bool needs_lanes = false;
 };
 
 struct BucketList {
-  std::vector<ClientIndex> perm;    // bucket-grouped ids (see bsorted)
+  std::vector<ClientIndex> perm;    // bucket-grouped ids; empty until built
   std::vector<std::int32_t> boff;   // buckets + 1 bucket offsets
   std::vector<double> bmin;         // certified per-bucket distance min
   std::vector<double> smin;         // per super-group min of bmin
   std::vector<char> bsorted;        // bucket refined to exact order?
+  double dmin = 0.0;                // bucket map: fl((d - dmin) * inv),
+  double inv = 0.0;                 // clamped to [0, buckets)
+  bool built = false;               // perm holds the ids of boff's entries
+
+  std::int32_t BucketOf(double d) const {
+    const auto nb = static_cast<std::int64_t>(bmin.size());
+    // fl((d - dmin) * inv) is non-decreasing in d, so the clamp keeps
+    // buckets distance-monotone with equal values always co-located —
+    // the property the exactness argument needs.
+    const auto q = static_cast<std::int64_t>((d - dmin) * inv);
+    return static_cast<std::int32_t>(std::clamp<std::int64_t>(q, 0, nb - 1));
+  }
+
+  // Bucket offsets and exact bucket / super-group minima of the entries
+  // d[i], i in [0, n), for which `skip(i)` is false. Scatters no ids.
+  template <typename Skip>
+  void Histogram(const double* d, std::size_t n, Skip skip) {
+    std::fill(boff.begin(), boff.end(), 0);
+    std::fill(bmin.begin(), bmin.end(), kInf);
+    for (std::size_t i = 0; i < n; ++i) {
+      if (skip(i)) continue;
+      const auto q = static_cast<std::size_t>(BucketOf(d[i]));
+      ++boff[q + 1];
+      bmin[q] = std::min(bmin[q], d[i]);
+    }
+    std::partial_sum(boff.begin(), boff.end(), boff.begin());
+    std::fill(smin.begin(), smin.end(), kInf);
+    for (std::size_t j = 0; j < bmin.size(); ++j) {
+      smin[j / kSuper] = std::min(smin[j / kSuper], bmin[j]);
+    }
+  }
 };
+
+// Per-thread column scratch shared by preprocessing and list builds.
+struct ColumnScratch {
+  std::vector<double> col;
+  std::vector<std::int32_t> cursor;
+};
+
+ColumnScratch& LocalColumnScratch() {
+  static thread_local ColumnScratch scratch;
+  return scratch;
+}
 
 }  // namespace
 
@@ -141,9 +201,10 @@ Assignment GreedyAssign(const Problem& problem, const AssignOptions& options,
   CheckCapacityFeasible(problem, options);
   ThreadPool& pool = GlobalPool();
   const ClientBlockView& view = problem.client_block();
-  // Only client-index permutations persist (4 bytes per client per
-  // server); the rounds gather distances through the view while they
-  // are cache-resident, so a streamed block is never re-materialized.
+  // Only client-index permutations persist (4 bytes per listed client,
+  // and lists are built over survivors only); the rounds gather distances
+  // through the view while they are cache-resident, so a streamed block
+  // is never re-materialized.
   const std::int32_t num_buckets = BucketCount(num_clients);
   const std::int32_t num_super = num_buckets / kSuper;
 
@@ -155,6 +216,14 @@ Assignment GreedyAssign(const Problem& problem, const AssignOptions& options,
   std::vector<Ladder> ladders(static_cast<std::size_t>(num_servers));
   std::vector<double> lane_scratch;  // phase-2 gather scratch (serial)
   const bool prune = options.bound_pruning;
+  // Clients unassigned when this vector was last compacted, ascending:
+  // every unassigned client is in it, and every list build scatters from
+  // it. It is compacted once more than half of it is stale, so its
+  // upkeep is amortized O(|C|) over the solve.
+  std::vector<ClientIndex> survivors(static_cast<std::size_t>(num_clients));
+  std::iota(survivors.begin(), survivors.end(), 0);
+  std::int32_t num_assigned = 0;
+  std::int64_t candidate_bytes_peak = 0;
 
   // Refine bucket b of server s to exact (distance, client) order. If
   // the head sat inside the bucket, the shuffle may have moved assigned
@@ -280,6 +349,10 @@ Assignment GreedyAssign(const Problem& problem, const AssignOptions& options,
             bucket_bound[static_cast<std::size_t>(j)] = kInf;
             continue;
           }
+          if (!bl.built) {
+            best.needs_lanes = true;
+            return best;
+          }
           if (!bl.bsorted[static_cast<std::size_t>(b)]) {
             const std::size_t h_before = h;
             sort_bucket(s, bl, b, h, hb);
@@ -345,6 +418,16 @@ Assignment GreedyAssign(const Problem& problem, const AssignOptions& options,
     return best;
   };
 
+  // The head of a freshly compacted or built list: position 0, in the
+  // first non-empty bucket (a list is only rebuilt while some client is
+  // unassigned, and every unassigned client is in every list).
+  const auto reset_head = [&](const BucketList& bl, std::size_t& h,
+                              std::int32_t& hb) {
+    h = 0;
+    hb = 0;
+    while (bl.boff[static_cast<std::size_t>(hb) + 1] <= 0) ++hb;
+  };
+
   // Drop assigned entries bucket-by-bucket (stable, so sorted buckets
   // stay sorted and unsorted ones keep ascending client order) and
   // refresh the boundary ranks. Bucket minima stay as-is: removals only
@@ -365,17 +448,67 @@ Assignment GreedyAssign(const Problem& problem, const AssignOptions& options,
     bl.boff[static_cast<std::size_t>(num_buckets)] =
         static_cast<std::int32_t>(write);
     bl.perm.resize(write);
-    h = 0;
-    hb = 0;
+    bl.perm.shrink_to_fit();
+    reset_head(bl, h, hb);
+  };
+
+  // SolveStats::candidate_bytes_peak, sampled after every list build (the
+  // only step that grows the lists' storage).
+  const auto track_candidate_bytes = [&] {
+    if (stats == nullptr) return;
+    std::int64_t bytes = 0;
+    for (const BucketList& bl : bucket_lists) {
+      bytes += static_cast<std::int64_t>(bl.perm.capacity() *
+                                         sizeof(ClientIndex));
+    }
+    candidate_bytes_peak = std::max(candidate_bytes_peak, bytes);
+  };
+
+  // Drop the clients assigned since the list was last compacted. An
+  // unbuilt list is the compaction of its implicit all-client list, done
+  // as one stable counting scatter of the still-unassigned survivors
+  // through the column's bucket map; its bucket minima are recomputed
+  // exactly over the new population.
+  const auto make_exact = [&](ServerIndex s, BucketList& bl, std::size_t& h,
+                              std::int32_t& hb) {
+    if (bl.built) {
+      compact_buckets(bl, h, hb);  // only shrinks the lists' storage
+      return;
+    }
+    const auto unassigned =
+        static_cast<std::size_t>(num_clients - num_assigned);
+    if (2 * unassigned < survivors.size()) {
+      std::erase_if(survivors,
+                    [&](ClientIndex c) { return a[c] != kUnassigned; });
+    }
+    ColumnScratch& scratch = LocalColumnScratch();
+    const std::size_t n = survivors.size();
+    scratch.col.resize(n);
+    view.GatherColumn(s, survivors.data(), n, scratch.col.data());
+    const auto assigned = [&](std::size_t i) {
+      return a[survivors[i]] != kUnassigned;
+    };
+    bl.Histogram(scratch.col.data(), n, assigned);
+    bl.perm.resize(static_cast<std::size_t>(bl.boff.back()));
+    scratch.cursor.assign(bl.boff.begin(), bl.boff.end() - 1);
+    for (std::size_t i = 0; i < n; ++i) {
+      if (assigned(i)) continue;
+      const auto q = static_cast<std::size_t>(bl.BucketOf(scratch.col[i]));
+      bl.perm[static_cast<std::size_t>(scratch.cursor[q]++)] = survivors[i];
+    }
+    bl.built = true;
+    reset_head(bl, h, hb);
+    track_candidate_bytes();
   };
 
   // Ladder snapshot off the bucket structure: a rank inside a refined
   // bucket reads its exact distance; inside an unsorted bucket the
   // bucket minimum stands in (a certified lower bound, which the Ladder
-  // argument allows).
+  // argument allows). An unbuilt list has no refined bucket, and its
+  // ranks run over the implicit all-client list.
   const auto seed_ladder_buckets = [&](ServerIndex s, Ladder& ladder,
                                        const BucketList& bl) {
-    RebuildLadderRanks(ladder, bl.perm.size());
+    RebuildLadderRanks(ladder, static_cast<std::size_t>(bl.boff.back()));
     std::int32_t j = 0;
     for (std::int32_t k = 0; k < ladder.count; ++k) {
       const std::int32_t r = ladder.rank[static_cast<std::size_t>(k)];
@@ -387,12 +520,11 @@ Assignment GreedyAssign(const Problem& problem, const AssignOptions& options,
     }
   };
 
-  // Preprocessing: one column pass per server builds its bucket
-  // structure, no sort (see the bucket note above).
+  // Preprocessing: one column pass per server records its bucket map,
+  // histogram and minima — no sort and no list (see the bucket note
+  // above).
   pool.ParallelFor(0, num_servers, 1, [&](std::int64_t b, std::int64_t e) {
-    static thread_local std::vector<double> col;
-    static thread_local std::vector<std::uint16_t> bins;
-    static thread_local std::vector<std::int32_t> cursor;
+    std::vector<double>& col = LocalColumnScratch().col;
     const auto nb = static_cast<std::size_t>(num_buckets);
     for (std::int64_t si = b; si < e; ++si) {
       const auto s = static_cast<ServerIndex>(si);
@@ -407,36 +539,15 @@ Assignment GreedyAssign(const Problem& problem, const AssignOptions& options,
         dmax = std::max(dmax, col[i]);
       }
       const double range = dmax - dmin;
-      const double inv = range > 0.0 && std::isfinite(range)
-                             ? static_cast<double>(num_buckets) / range
-                             : 0.0;
-      bins.resize(n);
-      bl.boff.assign(nb + 1, 0);
-      bl.bmin.assign(nb, kInf);
-      for (std::size_t i = 0; i < n; ++i) {
-        // fl((d - dmin) * inv) is non-decreasing in d, so the clamp
-        // keeps buckets distance-monotone with equal values always
-        // co-located — the property the exactness argument needs.
-        auto q = static_cast<std::int64_t>((col[i] - dmin) * inv);
-        q = std::clamp<std::int64_t>(q, 0, num_buckets - 1);
-        bins[i] = static_cast<std::uint16_t>(q);
-        ++bl.boff[static_cast<std::size_t>(q) + 1];
-        bl.bmin[static_cast<std::size_t>(q)] =
-            std::min(bl.bmin[static_cast<std::size_t>(q)], col[i]);
-      }
-      for (std::size_t j = 1; j <= nb; ++j) bl.boff[j] += bl.boff[j - 1];
-      bl.perm.resize(n);
-      cursor.assign(bl.boff.begin(), bl.boff.begin() + num_buckets);
-      for (std::size_t i = 0; i < n; ++i) {
-        bl.perm[static_cast<std::size_t>(cursor[bins[i]]++)] =
-            static_cast<ClientIndex>(i);
-      }
+      bl.dmin = dmin;
+      bl.inv = range > 0.0 && std::isfinite(range)
+                   ? static_cast<double>(num_buckets) / range
+                   : 0.0;
+      bl.boff.resize(nb + 1);
+      bl.bmin.resize(nb);
+      bl.smin.resize(static_cast<std::size_t>(num_super));
+      bl.Histogram(col.data(), n, [](std::size_t) { return false; });
       bl.bsorted.assign(nb, 0);
-      bl.smin.assign(static_cast<std::size_t>(num_super), kInf);
-      for (std::size_t j = 0; j < nb; ++j) {
-        auto& sm = bl.smin[j / kSuper];
-        sm = std::min(sm, bl.bmin[j]);
-      }
       // Ladder off the fresh buckets (nothing refined yet, so every point
       // reads a bucket minimum) and the exact column minimum as the
       // standing head bound.
@@ -489,7 +600,6 @@ Assignment GreedyAssign(const Problem& problem, const AssignOptions& options,
   std::vector<BoundEntry> order;
   order.reserve(static_cast<std::size_t>(num_servers));
   double max_len = 0.0;
-  std::int32_t num_assigned = 0;
 
   while (num_assigned < num_clients) {
     DIACA_OBS_SPAN("core.greedy.iteration");
@@ -505,9 +615,12 @@ Assignment GreedyAssign(const Problem& problem, const AssignOptions& options,
       if (room <= 0) continue;
       std::size_t& h = head[si];
       const BucketList& bl = bucket_lists[si];
-      // Every unassigned client appears in every list, so the head always
-      // lands on one before running off the end.
-      while (a[bl.perm[h]] != kUnassigned) ++h;
+      // Every unassigned client appears in every built list, so the head
+      // always lands on one before running off the end. An unbuilt list
+      // keeps h = 0 and its head bucket at the first non-empty one.
+      if (bl.built) {
+        while (a[bl.perm[h]] != kUnassigned) ++h;
+      }
       std::int32_t& hb = hbucket[si];
       while (bl.boff[static_cast<std::size_t>(hb) + 1] <=
              static_cast<std::int32_t>(h)) {
@@ -567,7 +680,10 @@ Assignment GreedyAssign(const Problem& problem, const AssignOptions& options,
     // the server is skipped without paying compaction, and with the
     // seeded cutoff the scan retires all but a handful of buckets on
     // their bounds. Only a server whose stale scan DOES beat the cutoff
-    // compacts and rescans exactly.
+    // compacts and rescans exactly. An unbuilt list is the extreme stale
+    // list — every client, nothing compacted — and its scan stops at the
+    // first bucket it cannot retire (needs_lanes): the list is then built
+    // from the survivors and rescanned exactly, like a compaction.
     Candidate best;
     best.cost = kInf;
     ServerIndex best_server = -1;
@@ -595,9 +711,13 @@ Assignment GreedyAssign(const Problem& problem, const AssignOptions& options,
       // head's bucket is unrefined — a zero there is only a hint. Refine
       // until the head lands in a sorted bucket (so d_head is the true
       // head's exact distance) or the zero disappears; the sorted flags
-      // make this terminate.
+      // make this terminate. An unbuilt list is built first.
       while (delta_head == 0.0 && !bl.bsorted[static_cast<std::size_t>(hb)]) {
-        sort_bucket(s, bl, hb, h, hb);
+        if (bl.built) {
+          sort_bucket(s, bl, hb, h, hb);
+        } else {
+          make_exact(s, bl, h, hb);
+        }
         d_head = bl.bsorted[static_cast<std::size_t>(hb)]
                      ? view.cs(bl.perm[h], s)
                      : bl.bmin[static_cast<std::size_t>(hb)];
@@ -633,11 +753,12 @@ Assignment GreedyAssign(const Problem& problem, const AssignOptions& options,
                                  : best.cost);
       Candidate r =
           scan_buckets(s, bl, h, hb, server_reach, max_len, room, cutoff);
-      if (r.pos >= 0) {
-        // The stale suffix held something below the cutoff — compact,
-        // dropping clients assigned in earlier rounds, rescan exactly, and
-        // re-seed the ladder so the next rounds' bounds start tight again.
-        compact_buckets(bl, h, hb);
+      if (r.pos >= 0 || r.needs_lanes) {
+        // The stale suffix held something below the cutoff, or an unbuilt
+        // list needs lanes — compact (or build), dropping clients assigned
+        // in earlier rounds, rescan exactly, and re-seed the ladder so the
+        // next rounds' bounds start tight again.
+        make_exact(s, bl, h, hb);
         r = scan_buckets(s, bl, h, hb, server_reach, max_len, room, cutoff);
         seed_ladder_buckets(s, ladders[si], bl);
       }
@@ -673,11 +794,12 @@ Assignment GreedyAssign(const Problem& problem, const AssignOptions& options,
     DIACA_CHECK_MSG(best_server >= 0, "no assignable pair found");
 
     // Batch: the prefix of the winner's list from its head to the chosen
-    // client — all unassigned by construction (a scan hit compacted the
-    // list; the zero fast-path batch is the head alone). Δn is capped at
-    // room, so no position past room - 1 costs less than position
-    // room - 1 (delta is non-decreasing, rounded division monotone): the
-    // first minimizer always fits, and capacity never truncates a batch.
+    // client — all unassigned by construction (a scan hit compacted or
+    // built the list; the zero fast-path batch is the head alone of a
+    // built list). Δn is capped at room, so no position past room - 1
+    // costs less than position room - 1 (delta is non-decreasing, rounded
+    // division monotone): the first minimizer always fits, and capacity
+    // never truncates a batch.
     // Buckets ascend in distance and the winner's bucket is refined, so
     // the chosen client is the batch's farthest.
     const auto bsi = static_cast<std::size_t>(best_server);
@@ -704,6 +826,7 @@ Assignment GreedyAssign(const Problem& problem, const AssignOptions& options,
     DIACA_OBS_COUNT("core.greedy.reach_cache.refreshes", 1);
     DIACA_OBS_OBSERVE("core.greedy.batch_size", take);
   }
+  if (stats != nullptr) stats->candidate_bytes_peak = candidate_bytes_peak;
   return a;
 }
 

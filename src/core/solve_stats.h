@@ -36,6 +36,12 @@ struct SolveStats {
   /// materialized block and under the scalar SIMD backend. Snapshotted
   /// from ClientBlockStats by SolverRegistry.
   std::int64_t tiles_pruned = 0;
+  /// High-water bytes of greedy's live candidate lists (the client-index
+  /// permutations, sum of capacity * 4 B), sampled after every list build
+  /// or compaction. Greedy builds a list only over the clients still
+  /// unassigned when a scan first needs it, so this sits far below the
+  /// 4 B * |C| * |S| an eagerly built set of lists would hold.
+  std::int64_t candidate_bytes_peak = 0;
   /// Clients moved off a healthy server (repair's bounded-migration
   /// phase, the churn control plane's capped re-optimization). Orphan
   /// re-homes forced by a failure are counted separately below — a

@@ -173,6 +173,10 @@ SolveResult SolverRegistry::Solve(const std::string& name,
       target->GetCounter(prefix + ".tiles_pruned")
           .Add(result.stats.tiles_pruned);
     }
+    if (result.stats.candidate_bytes_peak > 0) {
+      target->GetGauge(prefix + ".candidate_bytes_peak")
+          .Set(result.stats.candidate_bytes_peak);
+    }
     target->GetHistogram(prefix + ".solve_ms")
         .Record(static_cast<double>(obs::NowNs() - start_ns) / 1e6);
     target->GetHistogram(prefix + ".max_len_ms").Record(result.stats.max_len);

@@ -19,6 +19,7 @@
 #include "common/error.h"
 #include "common/simd/simd.h"
 #include "common/thread_pool.h"
+#include "core/distributed_greedy.h"
 #include "core/lower_bound.h"
 #include "core/metrics.h"
 #include "core/problem.h"
@@ -337,6 +338,53 @@ TEST(ClientBlockViewTest, GreedySolveSynthesizesNoTilesOnStreamedBackend) {
   // Identical output is the other half of the contract.
   EXPECT_EQ(rt.assignment.server_of, rd.assignment.server_of);
   EXPECT_EQ(rt.stats.max_len, rd.stats.max_len);
+}
+
+// Distributed greedy on a streamed cloud: every eccentricity it needs —
+// the full fold, the fold excluding one client, the critical set — reads
+// only the assigned diagonal, so the solve synthesizes no tile and stays
+// bit-identical to the resident block at any thread count.
+TEST(ClientBlockViewTest, DistributedGreedySynthesizesNoTilesOnStreamedBackend) {
+  data::ClientCloudParams params;
+  params.substrate.num_nodes = 60;
+  params.num_clients = 900;
+  net::OracleOptions opt;
+  opt.backend = net::OracleBackend::kRows;
+  const net::Graph graph = data::GenerateWaxmanTopology(params.substrate, 17);
+  const net::DistanceOracle oracle =
+      net::DistanceOracle::FromGraph(graph, opt);
+  const std::vector<net::NodeIndex> servers = {2, 11, 23, 37, 48};
+  const data::ClientCloud mat =
+      data::BuildClientCloud(params, 17, oracle, servers);
+  params.materialize_block = false;
+  params.tile.tile_clients = 64;  // does not divide 900
+  const data::ClientCloud streamed =
+      data::BuildClientCloud(params, 17, oracle, servers);
+  ASSERT_EQ(streamed.problem.client_block().raw_block(), nullptr);
+
+  const Assignment nearest = SolverRegistry::Default()
+                                 .Solve("nearest", mat.problem, SolveOptions{})
+                                 .assignment;
+  for (const ClientIndex exclude : {-1, 0, 449, 899}) {
+    EXPECT_EQ(EccentricitiesExcluding(mat.problem, nearest, exclude),
+              EccentricitiesExcluding(streamed.problem, nearest, exclude))
+        << "exclude=" << exclude;
+  }
+  for (const int threads : {1, 4}) {
+    SetGlobalThreads(threads);
+    const SolveResult want =
+        SolverRegistry::Default().Solve("dg", mat.problem, SolveOptions{});
+    const SolveResult got = SolverRegistry::Default().Solve(
+        "dg", streamed.problem, SolveOptions{});
+    EXPECT_EQ(got.stats.tiles_loaded, 0) << "threads=" << threads;
+    EXPECT_EQ(got.stats.tile_bytes_peak, 0) << "threads=" << threads;
+    EXPECT_EQ(got.assignment.server_of, want.assignment.server_of)
+        << "threads=" << threads;
+    EXPECT_EQ(got.stats.max_len, want.stats.max_len) << "threads=" << threads;
+    EXPECT_EQ(got.stats.modifications, want.stats.modifications)
+        << "threads=" << threads;
+  }
+  SetGlobalThreads(0);
 }
 
 // The tile-pipeline determinism grid: every combination of prefetch

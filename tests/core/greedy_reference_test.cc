@@ -29,6 +29,7 @@
 #include "core/greedy.h"
 #include "core/metrics.h"
 #include "core/problem.h"
+#include "core/solver_registry.h"
 #include "net/distance_oracle.h"
 #include "net/latency_matrix.h"
 
@@ -242,6 +243,98 @@ TEST(GreedyReferenceTest, MatchesPlainReferenceOnTieHeavyIntegerBlocks) {
 
 TEST(GreedyReferenceTest, MatchesPlainReferenceOnRandomBlocks) {
   RunGrid(/*integer_valued=*/false);
+}
+
+// Skewed instances: 80% of the clients sit on server 0's node behind a
+// short access leg, so the first round hands most of |C| to server 0 and
+// every other list is first built from the survivors. Hub legs are never
+// zero, so round 0 is one big batch rather than zero-cost singletons.
+Instance MakeSkewedInstance(bool integer_valued, std::int32_t num_clients,
+                            std::int32_t num_servers, std::uint64_t seed) {
+  Instance in = MakeInstance(integer_valued, 0, num_servers, seed);
+  constexpr std::int32_t kNodes = 24;
+  Rng rng(seed ^ 0x5eedULL);
+  for (std::int32_t c = 0; c < num_clients; ++c) {
+    const bool hub = rng.NextUniform(0.0, 1.0) < 0.8;
+    in.attach.push_back(
+        hub ? in.servers[0]
+            : static_cast<net::NodeIndex>(rng.NextInt(0, kNodes - 1)));
+    if (integer_valued) {
+      in.access.push_back(hub ? 1.0 : static_cast<double>(rng.NextInt(1, 4)));
+    } else {
+      in.access.push_back(hub ? rng.NextUniform(1.0, 1.5)
+                              : rng.NextUniform(0.5, 30.0));
+    }
+  }
+  return in;
+}
+
+TEST(GreedyReferenceTest, MatchesPlainReferenceWhenListsAreBuiltFromSurvivors) {
+  for (const bool integer_valued : {true, false}) {
+    for (const std::int32_t num_clients : {700, 8193}) {
+      for (const std::int32_t num_servers : {3, 8}) {
+        const Instance in = MakeSkewedInstance(
+            integer_valued, num_clients, num_servers,
+            static_cast<std::uint64_t>(num_clients) * 17 +
+                static_cast<std::uint64_t>(num_servers));
+        const Problem tiled_pruned = Tiled(in, true);
+        const Problem tiled_unpruned = Tiled(in, false);
+        const Problem mat = Materialized(tiled_pruned);
+        for (const bool capacitated : {false, true}) {
+          AssignOptions base;
+          if (capacitated) {
+            base.capacity = (num_clients + num_servers - 1) / num_servers;
+          }
+          const Assignment want = ReferenceGreedy(mat, base);
+          ASSERT_TRUE(want.IsComplete());
+          const double want_len = MaxInteractionPathLength(mat, want);
+          for (const bool prune : {true, false}) {
+            for (const int threads : {1, 4}) {
+              for (const bool tiled : {false, true}) {
+                const Problem& p =
+                    !tiled ? mat : (prune ? tiled_pruned : tiled_unpruned);
+                const std::string where =
+                    "integer=" + std::to_string(integer_valued) +
+                    " C=" + std::to_string(num_clients) +
+                    " S=" + std::to_string(num_servers) +
+                    " capacitated=" + std::to_string(capacitated) +
+                    " prune=" + std::to_string(prune) +
+                    " threads=" + std::to_string(threads) +
+                    " tiled=" + std::to_string(tiled);
+                SetGlobalThreads(threads);
+                AssignOptions options = base;
+                options.bound_pruning = prune;
+                const Assignment got = GreedyAssign(p, options);
+                ASSERT_EQ(got.server_of, want.server_of) << where;
+                ASSERT_EQ(MaxInteractionPathLength(p, got), want_len) << where;
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+  SetGlobalThreads(0);
+}
+
+// Memory attribution: on the skewed instance the first round assigns
+// most clients before any list but the winner's is built, so the live
+// lists peak far below the 4 B * |C| * |S| of eagerly built ones.
+TEST(GreedyReferenceTest, CandidateListsPeakBelowHalfTheEagerFootprint) {
+  constexpr std::int32_t kClients = 8193;
+  constexpr std::int32_t kServers = 8;
+  const Instance in = MakeSkewedInstance(false, kClients, kServers, 91);
+  for (const bool tiled : {false, true}) {
+    const Problem tiled_problem = Tiled(in, true);
+    const Problem mat = Materialized(tiled_problem);
+    const SolveResult r = SolverRegistry::Default().Solve(
+        "greedy", tiled ? tiled_problem : mat, SolveOptions{});
+    ASSERT_TRUE(r.assignment.IsComplete());
+    EXPECT_GT(r.stats.candidate_bytes_peak, 0) << "tiled=" << tiled;
+    EXPECT_LT(r.stats.candidate_bytes_peak,
+              std::int64_t{2} * kClients * kServers)
+        << "tiled=" << tiled;
+  }
 }
 
 }  // namespace

@@ -544,6 +544,11 @@ int CmdCloud(const Flags& flags) {
         static_cast<double>(cloud.problem.client_block().server_stride()) *
         sizeof(double) / (1024.0 * 1024.0));
   }
+  if (algorithm == "greedy") {
+    table.Row().Cell("greedy candidate peak (MB)").Cell(
+        static_cast<double>(result.stats.candidate_bytes_peak) /
+        (1024.0 * 1024.0));
+  }
   table.Row().Cell("peak RSS (MB)").Cell(rss_mb);
   table.Row().Cell("dense-equivalent matrix (MB)").Cell(dense_mb);
   table.Row().Cell("RSS / dense equivalent").Cell(rss_mb / dense_mb);
